@@ -979,17 +979,10 @@ spmv(const MatrixRef& a, const std::vector<Value>& x,
             return;
           case Format::kSmash: {
             const auto& m = a.as<core::SmashMatrix>();
-            if (algo == SpmvAlgo::kHw) {
+            if (algo == SpmvAlgo::kHw)
                 kern::spmvSmashHw(m, *opts.bmu, xp, y, e);
-            } else if constexpr (!E::kSimulated) {
-                // Native software walk: the ISA dispatch table's
-                // BMI2/popcnt word walk over the whole Bitmap-0.
-                simd::kernels().smashSpmvWords(
-                    m, xp, y, 0, m.hierarchy().level(0).numWords(),
-                    0);
-            } else {
+            else
                 kern::spmvSmashSw(m, xp, y, e);
-            }
             return;
           }
         }
@@ -1050,15 +1043,7 @@ spmvBatch(const MatrixRef& a, const fmt::DenseMatrix& x,
                                       a.rows(), e);
             return;
           case Format::kSmash:
-            if constexpr (!E::kSimulated) {
-                const auto& m = a.as<core::SmashMatrix>();
-                simd::kernels().smashSpmvBatchWords(
-                    m, x, y.data().data(), y.cols(), 0,
-                    m.hierarchy().level(0).numWords(), 0);
-            } else {
-                kern::spmvBatchSmash(a.as<core::SmashMatrix>(), x, y,
-                                     e);
-            }
+            kern::spmvBatchSmash(a.as<core::SmashMatrix>(), x, y, e);
             return;
           case Format::kCoo:
           case Format::kCsc:

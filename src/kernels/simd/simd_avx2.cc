@@ -335,17 +335,16 @@ smashSpmvWordsAvx2(const core::SmashMatrix& a,
 {
     detail::checkSmashOperands(a, x, y);
     const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
     const Value* nza = a.nza().data();
     const Value* xp = x.data();
     const Index bits_per_row = a.paddedCols() / bs;
-    if (word_begin >= word_end || bits_per_row == 0)
+    if (bits_per_row == 0)
         return;
+    detail::NonZeroWords words(a.hierarchy(), word_begin, word_end);
     Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        const BitWord word = level0.word(w);
-        if (word == 0)
-            continue;
+    Index w = 0;
+    BitWord word = 0;
+    while (words.next(w, word)) {
         const Index base_bit = w * kBitsPerWord;
         const Index row = base_bit / bits_per_row;
         if ((base_bit + kBitsPerWord - 1) / bits_per_row == row) {
@@ -382,6 +381,124 @@ smashSpmvWordsAvx2(const core::SmashMatrix& a,
     }
 }
 
+/** Four lanes at @p p; the masked form reads only the lanes enabled
+ *  in @p tail (the rest load as +0.0). */
+template <bool kMasked>
+SMASH_TARGET_AVX2 inline __m256d
+loadLanes(const Value* p, __m256i tail)
+{
+    if constexpr (kMasked)
+        return _mm256_maskload_pd(p, tail);
+    else
+        return _mm256_loadu_pd(p);
+}
+
+/**
+ * Batched update of up to 4*NV Y lanes from one row segment, held
+ * in NV ymm registers: the Y chunk is loaded once, each set bit's
+ * non-zero payload elements broadcast against their X rows (@p x0
+ * is X row seg.col0 at the chunk's first lane, @p xs the X row
+ * stride), and the chunk is stored once. With kTail the last
+ * register covers only the lanes enabled in @p tail; masked loads
+ * and stores never touch the others. Same per-lane addition order
+ * as the scalar lanes.
+ */
+template <int NV, bool kTail, Index BS>
+SMASH_TARGET_AVX2 inline void
+batchSegmentAvx2(BitWord bits, const Value* blk, Index bs_rt,
+                 const Value* x0, Index xs, Value* yr, __m256i tail)
+{
+    const Index bs = BS > 0 ? BS : bs_rt;
+    __m256d acc[NV];
+#pragma GCC unroll 4
+    for (int i = 0; i < NV - 1; ++i)
+        acc[i] = _mm256_loadu_pd(yr + 4 * i);
+    acc[NV - 1] = loadLanes<kTail>(yr + 4 * (NV - 1), tail);
+    while (bits != 0) {
+        const auto t = static_cast<Index>(_tzcnt_u64(bits));
+        bits = _blsr_u64(bits);
+        const Value* xb = x0 + static_cast<std::size_t>(t * bs * xs);
+        for (Index k = 0; k < bs; ++k) {
+            const Value vs = blk[k];
+            // Keep the explicit-zero skip: same test in every variant.
+            if (vs == Value(0))
+                continue;
+            const __m256d v = _mm256_set1_pd(vs);
+            const Value* xr = xb + static_cast<std::size_t>(k * xs);
+#pragma GCC unroll 4
+            for (int i = 0; i < NV - 1; ++i)
+                acc[i] = _mm256_add_pd(
+                    acc[i],
+                    _mm256_mul_pd(v, _mm256_loadu_pd(xr + 4 * i)));
+            acc[NV - 1] = _mm256_add_pd(
+                acc[NV - 1],
+                _mm256_mul_pd(
+                    v, loadLanes<kTail>(xr + 4 * (NV - 1), tail)));
+        }
+        blk += bs;
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < NV - 1; ++i)
+        _mm256_storeu_pd(yr + 4 * i, acc[i]);
+    if constexpr (kTail)
+        _mm256_maskstore_pd(yr + 4 * (NV - 1), tail, acc[NV - 1]);
+    else
+        _mm256_storeu_pd(yr + 4 * (NV - 1), acc[NV - 1]);
+}
+
+/** The last rem lanes (4*(NV-1) < rem <= 4*NV) of a row segment in
+ *  NV registers, masking the last one unless rem fills it. */
+template <int NV, Index BS>
+SMASH_TARGET_AVX2 inline void
+batchRemainderAvx2(Index rem, BitWord bits, const Value* blk, Index bs,
+                   const Value* x0, Index xs, Value* yr)
+{
+    const Index last = rem - 4 * (NV - 1);
+    if (last == 4)
+        batchSegmentAvx2<NV, false, BS>(bits, blk, bs, x0, xs, yr,
+                                        tailMask64(4));
+    else
+        batchSegmentAvx2<NV, true, BS>(bits, blk, bs, x0, xs, yr,
+                                       tailMask64(last));
+}
+
+/** One row segment across all nrhs lanes: 16-lane chunks, then the
+ *  remaining 1-15 lanes in one pass of 1-4 registers. */
+template <Index BS>
+SMASH_TARGET_AVX2 void
+batchRowSegmentAvx2(const detail::RowSegment& seg, const Value* blk,
+                    Index bs, const Value* xp, Index xs, Value* y,
+                    Index nrhs)
+{
+    const Value* x0 = xp + static_cast<std::size_t>(seg.col0 * xs);
+    Value* yr = y + static_cast<std::size_t>(seg.row * nrhs);
+    Index r = 0;
+    for (; r + 16 <= nrhs; r += 16)
+        batchSegmentAvx2<4, false, BS>(seg.bits, blk, bs, x0 + r, xs,
+                                       yr + r, tailMask64(4));
+    const Index rem = nrhs - r;
+    switch ((rem + 3) / 4) {
+      case 0:
+        return;
+      case 1:
+        batchRemainderAvx2<1, BS>(rem, seg.bits, blk, bs, x0 + r, xs,
+                                  yr + r);
+        return;
+      case 2:
+        batchRemainderAvx2<2, BS>(rem, seg.bits, blk, bs, x0 + r, xs,
+                                  yr + r);
+        return;
+      case 3:
+        batchRemainderAvx2<3, BS>(rem, seg.bits, blk, bs, x0 + r, xs,
+                                  yr + r);
+        return;
+      default:
+        batchRemainderAvx2<4, BS>(rem, seg.bits, blk, bs, x0 + r, xs,
+                                  yr + r);
+        return;
+    }
+}
+
 SMASH_TARGET_AVX2 void
 smashSpmvBatchWordsAvx2(const core::SmashMatrix& a,
                         const fmt::DenseMatrix& x, Value* y, Index nrhs,
@@ -389,42 +506,29 @@ smashSpmvBatchWordsAvx2(const core::SmashMatrix& a,
                         Index nza_block)
 {
     const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
+    const Index bits_per_row = a.paddedCols() / bs;
+    if (bits_per_row == 0)
+        return;
     const Value* nza = a.nza().data();
+    const Value* xp = x.data().data();
+    detail::NonZeroWords words(a.hierarchy(), word_begin, word_end);
     Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
+    Index w = 0;
+    BitWord word = 0;
+    while (words.next(w, word)) {
+        const Index base_bit = w * kBitsPerWord;
         while (word != 0) {
-            const Index bit =
-                w * kBitsPerWord + static_cast<Index>(_tzcnt_u64(word));
-            word = _blsr_u64(word);
-            const Index linear = bit * bs;
-            const Index row = linear / padded_cols;
-            const Index col0 = linear % padded_cols;
+            const detail::RowSegment seg = detail::takeRowSegment(
+                word, base_bit, bits_per_row, bs);
             const Value* blk =
                 nza + static_cast<std::size_t>(block * bs);
-            Value* yr = y + static_cast<std::size_t>(row * nrhs);
-            for (Index k = 0; k < bs; ++k) {
-                const Value vs = blk[k];
-                // Keep the explicit-zero skip: same geometric test
-                // in every variant.
-                if (vs == Value(0))
-                    continue;
-                const Value* xr = x.rowData(col0 + k);
-                const __m256d v = _mm256_set1_pd(vs);
-                Index r = 0;
-                for (; r + 4 <= nrhs; r += 4)
-                    _mm256_storeu_pd(
-                        yr + r,
-                        _mm256_add_pd(
-                            _mm256_loadu_pd(yr + r),
-                            _mm256_mul_pd(
-                                v, _mm256_loadu_pd(xr + r))));
-                for (; r < nrhs; ++r)
-                    yr[r] += vs * xr[r];
-            }
-            ++block;
+            if (bs == 2)
+                batchRowSegmentAvx2<2>(seg, blk, bs, xp, x.cols(), y,
+                                       nrhs);
+            else
+                batchRowSegmentAvx2<0>(seg, blk, bs, xp, x.cols(), y,
+                                       nrhs);
+            block += static_cast<Index>(_mm_popcnt_u64(seg.bits));
         }
     }
 }

@@ -26,7 +26,13 @@
  *    the same choice per word.
  *  - Batched kernels accumulate each RHS lane independently in
  *    non-zero order; any vector width over the RHS dimension is
- *    bit-identical by construction.
+ *    bit-identical by construction. The SMASH batch walk adds, per
+ *    Y element, in bit-ascending then in-block order and skips
+ *    explicit zeros; holding a Y-row chunk in registers across a
+ *    word's bits keeps that order.
+ *  - Both SMASH walks visit only non-zero Bitmap-0 words, found
+ *    through the hierarchy (NonZeroWords below). Skipping a zero
+ *    word adds nothing, so the guide never changes a result.
  *
  * Every TU including this header is compiled with -ffp-contract=off
  * (see CMakeLists.txt) so a*b+c never contracts into FMA behind the
@@ -35,6 +41,8 @@
 
 #ifndef SMASH_KERNELS_SIMD_SIMD_INTERNAL_HH
 #define SMASH_KERNELS_SIMD_SIMD_INTERNAL_HH
+
+#include <algorithm>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -192,6 +200,115 @@ smashWordSlow(BitWord word, Index word_base_bit, Index bits_per_row,
         ++block;
     }
     return block;
+}
+
+/**
+ * Ascending iterator over the non-zero Bitmap-0 words in
+ * [word_begin, word_end) — the hierarchy walk of §4.1 at word
+ * granularity. The guide is the lowest upper level whose bit covers
+ * a whole number of Bitmap-0 words (level 2 of the paper's 16.4.2,
+ * one bit per word); only words under its set bits are loaded.
+ * Without such a level (e.g. a single-level hierarchy, or ratios
+ * whose products never reach a multiple of 64) the whole range is
+ * scanned word by word. Any range works, so word-partitioned
+ * callers split freely.
+ */
+class NonZeroWords
+{
+  public:
+    NonZeroWords(const core::BitmapHierarchy& h, Index word_begin,
+                 Index word_end)
+        : level0_(h.level(0).words().data()), begin_(word_begin),
+          end_(word_end), w_(word_begin), span_end_(word_end)
+    {
+        const core::HierarchyConfig& cfg = h.config();
+        Index level0_bits = 1; // Bitmap-0 bits under one level-l bit
+        for (int lvl = 1; lvl < cfg.levels(); ++lvl) {
+            level0_bits *= cfg.ratio(lvl);
+            if (level0_bits % kBitsPerWord != 0)
+                continue;
+            if (word_begin >= word_end)
+                return;
+            // Guide bits of the first and last guide words that lie
+            // outside the range clamp to empty spans in next().
+            guide_ = h.level(lvl).words().data();
+            per_bit_ = level0_bits / kBitsPerWord;
+            gw_ = word_begin / per_bit_ / kBitsPerWord;
+            gw_last_ = (word_end - 1) / per_bit_ / kBitsPerWord;
+            pending_ = guide_[static_cast<std::size_t>(gw_)];
+            span_end_ = word_begin; // no span open until a guide bit
+            return;
+        }
+    }
+
+    /** The next non-zero word: its index in @p w, bits in @p word.
+     *  Returns false once the range is exhausted. */
+    bool next(Index& w, BitWord& word)
+    {
+        for (;;) {
+            while (w_ < span_end_) {
+                const BitWord bits =
+                    level0_[static_cast<std::size_t>(w_++)];
+                if (bits != 0) {
+                    w = w_ - 1;
+                    word = bits;
+                    return true;
+                }
+            }
+            if (guide_ == nullptr)
+                return false;
+            while (pending_ == 0) {
+                if (gw_ == gw_last_)
+                    return false;
+                pending_ = guide_[static_cast<std::size_t>(++gw_)];
+            }
+            const Index g = gw_ * kBitsPerWord + findFirstSet(pending_);
+            pending_ = clearLowestSet(pending_);
+            w_ = std::max(g * per_bit_, begin_);
+            span_end_ = std::min((g + 1) * per_bit_, end_);
+        }
+    }
+
+  private:
+    const BitWord* level0_;
+    const BitWord* guide_ = nullptr; // null: flat scan
+    Index per_bit_ = 0;              // Bitmap-0 words per guide bit
+    Index begin_, end_;
+    Index w_, span_end_;             // open span of Bitmap-0 words
+    Index gw_ = 0, gw_last_ = 0;     // guide words in range
+    BitWord pending_ = 0;            // unvisited guide bits in gw_
+};
+
+/** One matrix row's share of a Bitmap-0 word, shifted so that bit 0
+ *  is the segment's first set bit (column col0). */
+struct RowSegment
+{
+    BitWord bits;
+    Index row;
+    Index col0;
+};
+
+/**
+ * Split the set bits of the lowest row touched by @p word off it
+ * (they are cleared from @p word). A word inside one row is one
+ * segment and costs one divide; a word straddling rows yields one
+ * segment per row, in row order — each Y element still sees its
+ * bits in ascending order. @pre word != 0
+ */
+inline RowSegment
+takeRowSegment(BitWord& word, Index base_bit, Index bits_per_row,
+               Index bs)
+{
+    const int first = findFirstSet(word);
+    const Index row = (base_bit + first) / bits_per_row;
+    const Index row_end = (row + 1) * bits_per_row - base_bit;
+    const BitWord bits =
+        row_end < kBitsPerWord
+            ? word & ((BitWord{1} << row_end) - 1)
+            : word;
+    word &= ~bits;
+    return {bits >> first, row,
+            (base_bit + first - row * bits_per_row) * bs};
 }
 
 /** Operand checks shared by the CSR entries. */

@@ -77,14 +77,18 @@ struct KernelTable
                               Index row_end);
 
     /** The §4.4 SMASH word walk over Bitmap-0 words
-     *  [word_begin, word_end); nza_block is the Bitmap-0 rank before
+     *  [word_begin, word_end), visiting only the non-zero words the
+     *  hierarchy points to; nza_block is the Bitmap-0 rank before
      *  word_begin. x must be padded to a.paddedCols(). */
     void (*smashSpmvWords)(const core::SmashMatrix& a,
                            const std::vector<Value>& x,
                            std::vector<Value>& y, Index word_begin,
                            Index word_end, Index nza_block);
 
-    /** Batched SMASH word walk; y is the flat rows x nrhs block. */
+    /** Batched SMASH word walk; y is the flat rows x nrhs block.
+     *  Each Y element adds its products in bit-ascending, then
+     *  in-block order, skipping explicit zeros — the per-bit walk's
+     *  order, with each row's Y chunk held in registers. */
     void (*smashSpmvBatchWords)(const core::SmashMatrix& a,
                                 const fmt::DenseMatrix& x, Value* y,
                                 Index nrhs, Index word_begin,

@@ -130,17 +130,16 @@ smashSpmvWordsScalar(const core::SmashMatrix& a,
 {
     detail::checkSmashOperands(a, x, y);
     const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
     const Value* nza = a.nza().data();
     const Value* xp = x.data();
     const Index bits_per_row = a.paddedCols() / bs;
-    if (word_begin >= word_end || bits_per_row == 0)
+    if (bits_per_row == 0)
         return;
+    detail::NonZeroWords words(a.hierarchy(), word_begin, word_end);
     Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        const BitWord word = level0.word(w);
-        if (word == 0)
-            continue;
+    Index w = 0;
+    BitWord word = 0;
+    while (words.next(w, word)) {
         const Index base_bit = w * kBitsPerWord;
         const Index row = base_bit / bits_per_row;
         // Fast path: the whole word maps into one matrix row, so the
@@ -164,6 +163,56 @@ smashSpmvWordsScalar(const core::SmashMatrix& a,
     }
 }
 
+/**
+ * Batched update of W consecutive Y lanes from one row segment:
+ * @p yr is loaded once into W register sums, every set bit's block
+ * (payload @p blk onward) multiplies the matching X rows — @p x0 is
+ * lane 0 of X row seg.col0, @p xs the X row stride — and @p yr is
+ * stored once. Per lane the additions run bit ascending, then k,
+ * skipping explicit zeros.
+ */
+template <int W>
+void
+batchSegmentLanes(BitWord bits, const Value* blk, Index bs,
+                  const Value* x0, Index xs, Value* yr)
+{
+    Value acc[W];
+    for (int l = 0; l < W; ++l)
+        acc[l] = yr[l];
+    while (bits != 0) {
+        const Index t = findFirstSet(bits);
+        bits = clearLowestSet(bits);
+        const Value* xb = x0 + static_cast<std::size_t>(t * bs * xs);
+        for (Index k = 0; k < bs; ++k) {
+            const Value v = blk[k];
+            if (v == Value(0))
+                continue;
+            const Value* xr = xb + static_cast<std::size_t>(k * xs);
+            for (int l = 0; l < W; ++l)
+                acc[l] += v * xr[l];
+        }
+        blk += bs;
+    }
+    for (int l = 0; l < W; ++l)
+        yr[l] = acc[l];
+}
+
+/** One row segment across all nrhs lanes: four-lane chunks, then
+ *  single lanes. */
+void
+batchRowSegmentScalar(const detail::RowSegment& seg, const Value* blk,
+                      Index bs, const Value* xp, Index xs, Value* y,
+                      Index nrhs)
+{
+    const Value* x0 = xp + static_cast<std::size_t>(seg.col0 * xs);
+    Value* yr = y + static_cast<std::size_t>(seg.row * nrhs);
+    Index r = 0;
+    for (; r + 4 <= nrhs; r += 4)
+        batchSegmentLanes<4>(seg.bits, blk, bs, x0 + r, xs, yr + r);
+    for (; r < nrhs; ++r)
+        batchSegmentLanes<1>(seg.bits, blk, bs, x0 + r, xs, yr + r);
+}
+
 void
 smashSpmvBatchWordsScalar(const core::SmashMatrix& a,
                           const fmt::DenseMatrix& x, Value* y,
@@ -171,30 +220,24 @@ smashSpmvBatchWordsScalar(const core::SmashMatrix& a,
                           Index nza_block)
 {
     const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
+    const Index bits_per_row = a.paddedCols() / bs;
+    if (bits_per_row == 0)
+        return;
     const Value* nza = a.nza().data();
+    const Value* xp = x.data().data();
+    detail::NonZeroWords words(a.hierarchy(), word_begin, word_end);
     Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
+    Index w = 0;
+    BitWord word = 0;
+    while (words.next(w, word)) {
+        const Index base_bit = w * kBitsPerWord;
         while (word != 0) {
-            const Index bit = w * kBitsPerWord + findFirstSet(word);
-            word = clearLowestSet(word);
-            const Index linear = bit * bs;
-            const Index row = linear / padded_cols;
-            const Index col0 = linear % padded_cols;
+            const detail::RowSegment seg = detail::takeRowSegment(
+                word, base_bit, bits_per_row, bs);
             const Value* blk =
                 nza + static_cast<std::size_t>(block * bs);
-            Value* yr = y + static_cast<std::size_t>(row * nrhs);
-            for (Index k = 0; k < bs; ++k) {
-                const Value v = blk[k];
-                if (v == Value(0))
-                    continue;
-                const Value* xr = x.rowData(col0 + k);
-                for (Index r = 0; r < nrhs; ++r)
-                    yr[r] += v * xr[r];
-            }
-            ++block;
+            batchRowSegmentScalar(seg, blk, bs, xp, x.cols(), y, nrhs);
+            block += popcount(seg.bits);
         }
     }
 }

@@ -32,6 +32,7 @@
 #include "formats/dense_matrix.hh"
 #include "isa/bmu.hh"
 #include "kernels/costs.hh"
+#include "kernels/simd/simd_kernels.hh"
 #include "kernels/util.hh"
 #include "sim/core_model.hh"
 
@@ -362,58 +363,6 @@ spmvBcsr(const fmt::BcsrMatrix& a, const std::vector<Value>& x,
 }
 
 /**
- * The literal §4.4 inner loop over Bitmap-0 words
- * [word_begin, word_end): walk each word, CLZ/AND out the set bits,
- * compute on the corresponding dense NZA blocks. @p nza_block must
- * be the rank (number of set bits) of Bitmap-0 before word_begin —
- * the NZA ordinal of the first block in the range. Native-path
- * building block shared by the serial kernel and the engine's
- * word-partitioned parallel driver; words can straddle row
- * boundaries, so parallel callers accumulate into per-thread y
- * copies merged at the barrier.
- */
-inline void
-spmvSmashSwWords(const core::SmashMatrix& a, const std::vector<Value>& x,
-                 std::vector<Value>& y, Index word_begin, Index word_end,
-                 Index nza_block)
-{
-    const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
-    const Value* nza = a.nza().data();
-    Index block = nza_block;
-    // Amortized bit -> (row, col) tracking: bits ascend across the
-    // word range, so the row advances monotonically — one compare
-    // per bit replaces a 64-bit divide per bit. A zero-column
-    // matrix has bits_per_row == 0 (and no set bits): return before
-    // the division instead of faulting on it.
-    const Index bits_per_row = padded_cols / bs;
-    if (word_begin >= word_end || bits_per_row == 0)
-        return;
-    Index row = (word_begin * kBitsPerWord) / bits_per_row;
-    Index row_first_bit = row * bits_per_row;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
-        const Index word_base = w * kBitsPerWord;
-        while (word != 0) {
-            const Index bit = word_base + findFirstSet(word);
-            word = clearLowestSet(word);
-            while (bit >= row_first_bit + bits_per_row) {
-                ++row;
-                row_first_bit += bits_per_row;
-            }
-            const Index col0 = (bit - row_first_bit) * bs;
-            const Value* blk = nza + static_cast<std::size_t>(block * bs);
-            Value acc = 0;
-            for (Index k = 0; k < bs; ++k)
-                acc += blk[k] * x[static_cast<std::size_t>(col0 + k)];
-            y[static_cast<std::size_t>(row)] += acc;
-            ++block;
-        }
-    }
-}
-
-/**
  * Software-only SMASH SpMV (§4.4): the bitmap hierarchy is walked
  * with explicit word loads and CLZ/AND register operations (charged
  * via the cursor's counters); block payloads are dense and
@@ -434,12 +383,13 @@ spmvSmashSw(const core::SmashMatrix& a, const std::vector<Value>& x,
     const int vops = cost::vectorOps(bs);
 
     if constexpr (!E::kSimulated) {
-        // Native fast path: word-granularity skipping makes the
-        // upper hierarchy levels unnecessary at native speed; the
-        // general cursor below exists for the cost model's
-        // level-accurate billing.
-        spmvSmashSwWords(a, x, y, 0, a.hierarchy().level(0).numWords(),
-                         0);
+        // Native path: the ISA dispatch table's word walk, which
+        // follows the hierarchy to the non-zero Bitmap-0 words (on a
+        // clustered 8192-row matrix only 5.9% of them are non-zero).
+        // The cursor below exists for the cost model's level-accurate
+        // billing.
+        simd::kernels().smashSpmvWords(
+            a, x, y, 0, a.hierarchy().level(0).numWords(), 0);
         return;
     }
 

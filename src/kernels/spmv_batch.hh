@@ -31,6 +31,7 @@
 #include "formats/dia_matrix.hh"
 #include "formats/ell_matrix.hh"
 #include "kernels/costs.hh"
+#include "kernels/simd/simd_kernels.hh"
 #include "kernels/util.hh"
 #include "sim/core_model.hh"
 
@@ -257,51 +258,11 @@ spmvBatchDenseRange(const fmt::DenseMatrix& a, const fmt::DenseMatrix& x,
 }
 
 /**
- * Batched §4.4 word walk over Bitmap-0 words [word_begin, word_end):
- * the single-RHS spmvSmashSwWords loop with an nrhs-wide update per
- * NZA element. @p y is the flat row-major rows x nrhs block (a raw
- * pointer so the parallel driver can hand per-thread accumulators);
- * @p nza_block must be the Bitmap-0 rank before word_begin. Words
- * can straddle rows — parallel callers merge private Y copies.
- */
-inline void
-spmvBatchSmashWords(const core::SmashMatrix& a,
-                    const fmt::DenseMatrix& x, Value* y, Index nrhs,
-                    Index word_begin, Index word_end, Index nza_block)
-{
-    const Index bs = a.blockSize();
-    const core::Bitmap& level0 = a.hierarchy().level(0);
-    const Index padded_cols = a.paddedCols();
-    const Value* nza = a.nza().data();
-    Index block = nza_block;
-    for (Index w = word_begin; w < word_end; ++w) {
-        BitWord word = level0.word(w);
-        while (word != 0) {
-            const Index bit = w * kBitsPerWord + findFirstSet(word);
-            word = clearLowestSet(word);
-            const Index linear = bit * bs;
-            const Index row = linear / padded_cols;
-            const Index col0 = linear % padded_cols;
-            const Value* blk = nza + static_cast<std::size_t>(block * bs);
-            Value* yr = y + static_cast<std::size_t>(row * nrhs);
-            for (Index k = 0; k < bs; ++k) {
-                const Value v = blk[k];
-                if (v == Value(0))
-                    continue;
-                const Value* xr = x.rowData(col0 + k);
-                for (Index r = 0; r < nrhs; ++r)
-                    yr[r] += v * xr[r];
-            }
-            ++block;
-        }
-    }
-}
-
-/**
- * Batched software SMASH SpMV: native path runs the word walk;
- * under simulation the hierarchy scan is billed once per block via
- * the cursor (identical to spmvSmashSw) and the compute charge
- * scales with the batch width.
+ * Batched software SMASH SpMV: the native path runs the ISA
+ * dispatch table's batched word walk; under simulation the
+ * hierarchy scan is billed once per block via the cursor (identical
+ * to spmvSmashSw) and the compute charge scales with the batch
+ * width.
  *
  * @param x must be padded to matrix.paddedCols() rows.
  */
@@ -316,8 +277,9 @@ spmvBatchSmash(const core::SmashMatrix& a, const fmt::DenseMatrix& x,
     const int vops = cost::vectorOps(nrhs);
 
     if constexpr (!E::kSimulated) {
-        spmvBatchSmashWords(a, x, y.data().data(), nrhs, 0,
-                            a.hierarchy().level(0).numWords(), 0);
+        simd::kernels().smashSpmvBatchWords(
+            a, x, y.data().data(), nrhs, 0,
+            a.hierarchy().level(0).numWords(), 0);
         return;
     }
 

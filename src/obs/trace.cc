@@ -299,6 +299,14 @@ writeArgs(std::ostream& os, const TraceEvent& e)
       case EventKind::kEpochSwap:
         os << "{}";
         return;
+      case EventKind::kNetFrameRx:
+      case EventKind::kNetFrameTx:
+        os << "{\"op\": " << e.a0 << ", \"bytes\": " << e.a1 << "}";
+        return;
+      case EventKind::kNetConn:
+        os << "{\"open\": " << e.a0 << ", \"transport\": " << e.a1
+           << "}";
+        return;
       case EventKind::kShardScatter:
         os << "{\"shards\": " << e.a0 << ", \"rhs\": " << e.a1 << "}";
         return;

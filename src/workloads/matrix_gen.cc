@@ -30,6 +30,25 @@ key(Index r, Index c, Index cols)
         static_cast<std::uint64_t>(cols) + static_cast<std::uint64_t>(c);
 }
 
+/**
+ * Cells genClustered can reach with band half-width @p band: each
+ * row's runs start within the band around the scaled diagonal and
+ * extend up to run_len - 1 columns past it.
+ */
+Index
+clusteredCapacity(Index rows, Index cols, Index run_len, Index band)
+{
+    Index total = 0;
+    for (Index r = 0; r < rows; ++r) {
+        const Index diag =
+            std::min(cols - 1, r * cols / std::max<Index>(rows, 1));
+        const Index lo = std::max<Index>(0, diag - band);
+        const Index hi = std::min<Index>(cols - 1, diag + band);
+        total += std::min<Index>(cols - 1, hi + run_len - 1) - lo + 1;
+    }
+    return total;
+}
+
 } // namespace
 
 fmt::CooMatrix
@@ -85,9 +104,13 @@ genClustered(Index rows, Index cols, Index nnz, Index run_len,
     used.reserve(static_cast<std::size_t>(nnz) * 2);
     Index added = 0;
     // Band half-width: runs start near the diagonal, like the
-    // block-diagonal population of FEM stiffness matrices.
-    const Index band = std::max<Index>(run_len * 4,
-                                       cols / 16 + run_len);
+    // block-diagonal population of FEM stiffness matrices. A band
+    // too narrow to hold nnz distinct cells would make the rejection
+    // loop below spin forever, so only then is it widened; every
+    // shape that fits keeps its band and its exact output.
+    Index band = std::max<Index>(run_len * 4, cols / 16 + run_len);
+    while (nnz > 0 && clusteredCapacity(rows, cols, run_len, band) < nnz)
+        band *= 2;
     while (added < nnz) {
         Index r = static_cast<Index>(
             rng.below(static_cast<std::uint64_t>(rows)));

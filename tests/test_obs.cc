@@ -311,6 +311,40 @@ TEST(TraceDump, ProducesValidJson)
         "{\"a\": [1, 2.5, -3e2, \"s\\u00e9\", true, null]}", error));
 }
 
+TEST(TraceDump, WireEventsKeepTheirFields)
+{
+    obs::TraceCollector& tc = obs::TraceCollector::global();
+    const bool was_on = obs::traceEnabled();
+    obs::setTraceEnabled(true);
+    tc.clear();
+
+    obs::record(obs::EventKind::kNetFrameRx, 1, 4096);
+    obs::record(obs::EventKind::kNetFrameTx, 129, 2048);
+    obs::record(obs::EventKind::kNetConn, 1, 0);
+    obs::record(obs::EventKind::kNetConn, 0, 1);
+    obs::setTraceEnabled(was_on);
+
+    std::ostringstream os;
+    tc.dumpJson(os);
+    const std::string json = os.str();
+    tc.clear();
+    std::string error;
+    EXPECT_TRUE(obs::validateJson(json, error)) << error;
+    EXPECT_NE(json.find("{\"op\": 1, \"bytes\": 4096}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"op\": 129, \"bytes\": 2048}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"open\": 1, \"transport\": 0}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"open\": 0, \"transport\": 1}"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("\"args\": {}"), std::string::npos) << json;
+}
+
 TEST(ZeroAlloc, WarmedInstrumentedSpmvPathsStayHeapFree)
 {
     eng::SparseMatrixAny m(

@@ -7,6 +7,10 @@
  *    SpMV, the column-tiled CSR walk, batched CSR SpMV, the SMASH
  *    word walk single and batched, popcountWords), at every level
  *    the host supports;
+ *  - the hierarchy-guided SMASH walks match the flat walk (single
+ *    RHS) and a per-bit walk written out here (batched) under
+ *    guided and unguided hierarchies, row-straddling words, long
+ *    empty row runs, every RHS chunk width and split word ranges;
  *  - the same holds through the engine dispatch at 1, 2, and 8
  *    threads with the active level switched via setIsaLevel() (the
  *    in-process equivalent of SMASH_FORCE_ISA — the CI matrix runs
@@ -31,6 +35,7 @@
 #include <new>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/cpu_features.hh"
 #include "common/parallel_exec.hh"
 #include "core/hierarchy_config.hh"
@@ -169,6 +174,85 @@ straddleMatrix()
     return wl::genClustered(128, 90, 1800, 4, 23);
 }
 
+/** Long runs of empty rows between three populated bands, so whole
+ *  guide words (and stretches of guide bits) are zero. */
+fmt::CooMatrix
+emptyRowsMatrix()
+{
+    const fmt::CooMatrix src = wl::genClustered(48, 256, 1500, 5, 29);
+    fmt::CooMatrix out(900, 256);
+    for (const auto& e : src.entries()) {
+        const Index row =
+            e.row < 16 ? e.row : (e.row < 32 ? e.row + 400 : e.row + 852);
+        out.add(row, e.col, e.value);
+    }
+    out.canonicalize();
+    return out;
+}
+
+/**
+ * Hierarchies the word walks must handle, finest ratio first:
+ * single-level and {2, 4} have no level whose bit covers whole
+ * Bitmap-0 words (flat walk); the paper's 16.4.2 guides with one
+ * word per level-2 bit, 16.8.2 with two, and 16.4.4 with one word
+ * per bit over blockSize-4 blocks.
+ */
+std::vector<core::HierarchyConfig>
+walkConfigs()
+{
+    return {core::HierarchyConfig({2}), core::HierarchyConfig({2, 4}),
+            core::HierarchyConfig::fromPaperNotation({16, 4, 2}),
+            core::HierarchyConfig::fromPaperNotation({16, 8, 2}),
+            core::HierarchyConfig::fromPaperNotation({16, 4, 4})};
+}
+
+/** Split points for the word-partition contract: near both ends,
+ *  mid-range, and odd points that fall inside a guide word (and,
+ *  for two-word guide bits, inside a guide bit). */
+std::vector<Index>
+splitPoints(Index words)
+{
+    std::vector<Index> out;
+    for (Index mid : {Index(1), words / 3 | 1, words / 2, words - 1})
+        if (mid > 0 && mid < words)
+            out.push_back(mid);
+    return out;
+}
+
+/** The per-bit batched walk, written out independently of the
+ *  kernels: every Bitmap-0 bit in order, its row and column by
+ *  divide and modulo, explicit zeros skipped. */
+void
+perBitBatchReference(const core::SmashMatrix& m,
+                     const fmt::DenseMatrix& x, Value* y, Index nrhs)
+{
+    const Index bs = m.blockSize();
+    const Index padded_cols = m.paddedCols();
+    const core::Bitmap& level0 = m.hierarchy().level(0);
+    Index block = 0;
+    for (Index w = 0; w < level0.numWords(); ++w) {
+        BitWord word = level0.word(w);
+        while (word != 0) {
+            const Index bit = w * kBitsPerWord + findFirstSet(word);
+            word = clearLowestSet(word);
+            const Index linear = bit * bs;
+            const Index row = linear / padded_cols;
+            const Index col0 = linear % padded_cols;
+            const Value* blk = m.blockData(block);
+            Value* yr = y + static_cast<std::size_t>(row * nrhs);
+            for (Index k = 0; k < bs; ++k) {
+                const Value v = blk[k];
+                if (v == Value(0))
+                    continue;
+                const Value* xr = x.rowData(col0 + k);
+                for (Index r = 0; r < nrhs; ++r)
+                    yr[r] += v * xr[r];
+            }
+            ++block;
+        }
+    }
+}
+
 } // namespace
 
 TEST(CpuFeaturesProbe, LevelOrderingAndClamping)
@@ -263,39 +347,56 @@ TEST(BitIdentity, CsrSpmvBatchAcrossLevels)
 
 TEST(BitIdentity, SmashWordWalkAcrossLevelsAndSplits)
 {
-    // blockSize 2 exercises the paired fast path, 4 the generic
-    // one; the 90-column matrix forces words that straddle rows.
-    for (Index bs : {Index(2), Index(4)}) {
-        for (const fmt::CooMatrix& coo :
-             {csrTestMatrix(), straddleMatrix()}) {
-            const core::SmashMatrix m = core::SmashMatrix::fromCoo(
-                coo, core::HierarchyConfig({bs}));
+    // Every hierarchy over the same matrix: the guided walks must
+    // reproduce the flat walk of the single-level encoding with the
+    // same block size (identical Bitmap-0 and NZA) bit for bit, at
+    // every ISA level and over every split of the word range. The
+    // 90-column matrix forces words that straddle rows; blockSize 4
+    // takes the generic block path.
+    for (const fmt::CooMatrix& coo :
+         {csrTestMatrix(), straddleMatrix(), emptyRowsMatrix()}) {
+        for (const core::HierarchyConfig& cfg : walkConfigs()) {
+            const core::SmashMatrix m =
+                core::SmashMatrix::fromCoo(coo, cfg);
+            const core::SmashMatrix flat = core::SmashMatrix::fromCoo(
+                coo, core::HierarchyConfig({cfg.blockSize()}));
             const Index words = m.hierarchy().level(0).numWords();
             const std::vector<Value> x = pseudoX(m.paddedCols(), 71);
             std::vector<Value> ref(static_cast<std::size_t>(m.rows()),
                                    Value(0));
             simd::kernelsFor(simd::IsaLevel::kScalar)
-                .smashSpmvWords(m, x, ref, 0, words, 0);
+                .smashSpmvWords(flat, x, ref, 0, words, 0);
+            // The canonical word sums reassociate each row, so the
+            // per-bit batched walk is only a numeric cross-check.
+            fmt::DenseMatrix xb(m.paddedCols(), 1);
+            xb.data() = x;
+            std::vector<Value> per_bit(
+                static_cast<std::size_t>(m.rows()), Value(0));
+            perBitBatchReference(m, xb, per_bit.data(), 1);
+            for (std::size_t i = 0; i < ref.size(); ++i)
+                ASSERT_NEAR(ref[i], per_bit[i], 1e-9) << "row " << i;
             for (simd::IsaLevel level : supportedLevels()) {
                 const simd::KernelTable& kt = simd::kernelsFor(level);
                 std::vector<Value> y(
                     static_cast<std::size_t>(m.rows()), Value(0));
                 kt.smashSpmvWords(m, x, y, 0, words, 0);
                 EXPECT_EQ(y, ref) << "SMASH walk diverged, level "
-                                  << simd::toString(level) << ", bs "
-                                  << bs;
+                                  << simd::toString(level) << ", config "
+                                  << cfg.toString();
                 // Split word range with the rank as NZA base: the
                 // same contract the parallel word partition uses.
-                const Index mid = words / 2;
-                const Index base = kt.popcountWords(
-                    m.hierarchy().level(0).words().data(), mid);
-                std::vector<Value> ys(
-                    static_cast<std::size_t>(m.rows()), Value(0));
-                kt.smashSpmvWords(m, x, ys, 0, mid, 0);
-                kt.smashSpmvWords(m, x, ys, mid, words, base);
-                EXPECT_EQ(ys, ref)
-                    << "split SMASH walk diverged, level "
-                    << simd::toString(level) << ", bs " << bs;
+                for (Index mid : splitPoints(words)) {
+                    const Index base = kt.popcountWords(
+                        m.hierarchy().level(0).words().data(), mid);
+                    std::vector<Value> ys(
+                        static_cast<std::size_t>(m.rows()), Value(0));
+                    kt.smashSpmvWords(m, x, ys, 0, mid, 0);
+                    kt.smashSpmvWords(m, x, ys, mid, words, base);
+                    EXPECT_EQ(ys, ref)
+                        << "split SMASH walk diverged, level "
+                        << simd::toString(level) << ", config "
+                        << cfg.toString() << ", mid " << mid;
+                }
             }
         }
     }
@@ -303,23 +404,50 @@ TEST(BitIdentity, SmashWordWalkAcrossLevelsAndSplits)
 
 TEST(BitIdentity, SmashBatchAcrossLevels)
 {
-    const core::SmashMatrix m = core::SmashMatrix::fromCoo(
-        csrTestMatrix(), core::HierarchyConfig({2}));
-    const Index words = m.hierarchy().level(0).numWords();
-    const Index nrhs = 5;
-    fmt::DenseMatrix xb(m.paddedCols(), nrhs);
-    xb.data() = pseudoX(m.paddedCols() * nrhs, 83);
-    fmt::DenseMatrix ref(m.rows(), nrhs);
-    simd::kernelsFor(simd::IsaLevel::kScalar)
-        .smashSpmvBatchWords(m, xb, ref.data().data(), nrhs, 0, words,
-                             0);
-    for (simd::IsaLevel level : supportedLevels()) {
-        fmt::DenseMatrix y(m.rows(), nrhs);
-        simd::kernelsFor(level).smashSpmvBatchWords(
-            m, xb, y.data().data(), nrhs, 0, words, 0);
-        EXPECT_EQ(y.data(), ref.data())
-            << "batched SMASH diverged at level "
-            << simd::toString(level);
+    // Guided, register-blocked batch walks against the per-bit walk
+    // written out above: every hierarchy, every ISA level, RHS
+    // widths that hit each register count with and without a
+    // masked last register and the scalar lanes, and split word
+    // ranges with the popcount rank as NZA base.
+    for (const fmt::CooMatrix& coo :
+         {csrTestMatrix(), straddleMatrix(), emptyRowsMatrix()}) {
+        for (const core::HierarchyConfig& cfg : walkConfigs()) {
+            const core::SmashMatrix m =
+                core::SmashMatrix::fromCoo(coo, cfg);
+            const Index words = m.hierarchy().level(0).numWords();
+            for (Index nrhs : {1, 3, 4, 6, 8, 10, 12, 14, 16, 17, 40}) {
+                fmt::DenseMatrix xb(m.paddedCols(), nrhs);
+                xb.data() = pseudoX(m.paddedCols() * nrhs,
+                                    83 + static_cast<std::uint64_t>(nrhs));
+                fmt::DenseMatrix ref(m.rows(), nrhs);
+                perBitBatchReference(m, xb, ref.data().data(), nrhs);
+                for (simd::IsaLevel level : supportedLevels()) {
+                    const simd::KernelTable& kt =
+                        simd::kernelsFor(level);
+                    fmt::DenseMatrix y(m.rows(), nrhs);
+                    kt.smashSpmvBatchWords(m, xb, y.data().data(), nrhs,
+                                           0, words, 0);
+                    EXPECT_EQ(y.data(), ref.data())
+                        << "batched SMASH diverged at level "
+                        << simd::toString(level) << ", config "
+                        << cfg.toString() << ", nrhs " << nrhs;
+                    for (Index mid : splitPoints(words)) {
+                        const Index base = kt.popcountWords(
+                            m.hierarchy().level(0).words().data(), mid);
+                        fmt::DenseMatrix ys(m.rows(), nrhs);
+                        kt.smashSpmvBatchWords(m, xb, ys.data().data(),
+                                               nrhs, 0, mid, 0);
+                        kt.smashSpmvBatchWords(m, xb, ys.data().data(),
+                                               nrhs, mid, words, base);
+                        EXPECT_EQ(ys.data(), ref.data())
+                            << "split batched SMASH diverged at level "
+                            << simd::toString(level) << ", config "
+                            << cfg.toString() << ", nrhs " << nrhs
+                            << ", mid " << mid;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -371,6 +499,47 @@ TEST(DispatchBitIdentity, CsrAndSmashAcrossLevelsPerThreadCount)
                 << " threads, level " << simd::toString(level);
             EXPECT_EQ(y_sm, ref_sm)
                 << "parallel SMASH diverged at " << threads
+                << " threads, level " << simd::toString(level);
+        }
+    }
+}
+
+TEST(DispatchBitIdentity, SmashBatchAcrossLevelsPerThreadCount)
+{
+    // The served path: batched SMASH through the engine, serial and
+    // word-partitioned, under the paper's 16.4.2 hierarchy. Serial
+    // matches the per-bit walk; for a fixed thread count switching
+    // the ISA level must not move a single bit.
+    IsaGuard guard;
+    const core::SmashMatrix sm = core::SmashMatrix::fromCoo(
+        straddleMatrix(),
+        core::HierarchyConfig::fromPaperNotation({16, 4, 2}));
+    eng::SparseMatrixAny any{core::SmashMatrix(sm)};
+    const Index nrhs = 16;
+    fmt::DenseMatrix xb(sm.paddedCols(), nrhs);
+    xb.data() = pseudoX(sm.paddedCols() * nrhs, 37);
+    fmt::DenseMatrix per_bit(sm.rows(), nrhs);
+    perBitBatchReference(sm, xb, per_bit.data().data(), nrhs);
+    for (simd::IsaLevel level : supportedLevels()) {
+        ASSERT_TRUE(simd::setIsaLevel(level));
+        fmt::DenseMatrix y(sm.rows(), nrhs);
+        sim::NativeExec ne;
+        eng::spmvBatch(any.ref(), xb, y, ne);
+        EXPECT_EQ(y.data(), per_bit.data())
+            << "serial batched SMASH diverged at level "
+            << simd::toString(level);
+    }
+    for (int threads : {1, 2, 8}) {
+        exec::ParallelExec pe(threads);
+        ASSERT_TRUE(simd::setIsaLevel(simd::IsaLevel::kScalar));
+        fmt::DenseMatrix ref(sm.rows(), nrhs);
+        eng::spmvBatch(any.ref(), xb, ref, pe);
+        for (simd::IsaLevel level : supportedLevels()) {
+            ASSERT_TRUE(simd::setIsaLevel(level));
+            fmt::DenseMatrix y(sm.rows(), nrhs);
+            eng::spmvBatch(any.ref(), xb, y, pe);
+            EXPECT_EQ(y.data(), ref.data())
+                << "parallel batched SMASH diverged at " << threads
                 << " threads, level " << simd::toString(level);
         }
     }

@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <future>
+#include <string>
 
 #include "common/logging.hh"
 #include "core/smash_matrix.hh"
@@ -166,6 +172,90 @@ TEST(MatrixSuite, GenerateSmallScaleWorks)
         EXPECT_GE(static_cast<double>(coo.nnz()),
                   0.5 * static_cast<double>(s.nnz)) << s.name;
     }
+}
+
+/**
+ * Run @p gen on its own thread under a 30 s deadline. A generator
+ * still running past it cannot be stopped, so the binary exits
+ * failed, naming @p what, instead of hanging the suite.
+ */
+template <typename Gen>
+fmt::CooMatrix
+generateWithinDeadline(const std::string& what, Gen gen)
+{
+    auto result = std::async(std::launch::async, gen);
+    if (result.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+        std::fprintf(stderr, "%s did not generate within 30 s\n",
+                     what.c_str());
+        std::fflush(stderr);
+        std::_Exit(1);
+    }
+    return result.get();
+}
+
+TEST(MatrixSuite, EveryScaleGeneratesInBoundedTime)
+{
+    // Small scales squeeze nnz into few rows: a clustered band that
+    // could not hold nnz used to spin the generator forever.
+    for (double scale : {0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.075,
+                         0.1}) {
+        for (const auto& spec : table3Specs()) {
+            const MatrixSpec s = scaleSpec(spec, scale);
+            const std::string what =
+                s.name + " @ " + std::to_string(scale);
+            const fmt::CooMatrix coo = generateWithinDeadline(
+                what, [&s] { return generateMatrix(s); });
+            EXPECT_EQ(coo.rows(), s.rows) << what;
+            EXPECT_GT(coo.nnz(), 0) << what;
+            EXPECT_LE(coo.nnz(), s.nnz) << what;
+            if (s.structure == MatrixStructure::kClustered) {
+                EXPECT_EQ(coo.nnz(), s.nnz) << what;
+            }
+        }
+    }
+}
+
+/** FNV-1a over a matrix's (row, col, value bits) triples. */
+std::uint64_t
+fingerprint(const fmt::CooMatrix& coo)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const auto& e : coo.entries()) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &e.value, sizeof bits);
+        mix(static_cast<std::uint64_t>(e.row));
+        mix(static_cast<std::uint64_t>(e.col));
+        mix(bits);
+    }
+    return h;
+}
+
+TEST(MatrixGen, ClusteredWidensOnlyABandTooNarrowForNnz)
+{
+    // 64 x 64 with run 2: the default band (half-width 8) reaches
+    // 1071 cells, so 2000 non-zeros need a wider one.
+    EXPECT_EQ(generateWithinDeadline(
+                  "genClustered(64, 64, 2000, 2, 3)",
+                  [] { return genClustered(64, 64, 2000, 2, 3); })
+                  .nnz(),
+              2000);
+    // Shapes whose band fits keep their exact output: the served
+    // benchmark matrix and the shapes the kernel tests use.
+    EXPECT_EQ(fingerprint(genClustered(8192, 8192, 312500, 8, 97)),
+              0x559044200badbf22ull);
+    EXPECT_EQ(fingerprint(genClustered(256, 256, 3000, 8, 5)),
+              0xa0b35fe6500a947eull);
+    EXPECT_EQ(fingerprint(genClustered(300, 512, 6000, 6, 17)),
+              0x17823609c08ca4b9ull);
+    EXPECT_EQ(fingerprint(genClustered(128, 90, 1800, 4, 23)),
+              0xe071be0b8ea5d34aull);
 }
 
 TEST(MatrixSuite, BenchScaleReadsEnvironment)
