@@ -64,8 +64,10 @@ main()
 
     // 2. Serve two waves of mixed-priority SpMV traffic: kHigh
     //    flushes immediately (batcher reason "priority"), the rest
-    //    coalesce until the batch fills ("size") or the flush timer
-    //    fires ("deadline") — all of which the metrics count.
+    //    flush into a free compute slot ("idle") or coalesce while
+    //    the slots are busy until the batch fills ("size"), a slot
+    //    frees ("idle") or the flush timer fires ("deadline") — all
+    //    of which the metrics count.
     serve::SessionOptions options;
     options.threads = 4;
     options.maxBatch = 8;

@@ -224,6 +224,7 @@ flushReasonName(std::uint32_t reason)
       case FlushReason::kDeadline: return "deadline";
       case FlushReason::kPriority: return "priority";
       case FlushReason::kManual: return "manual";
+      case FlushReason::kIdle: return "idle";
     }
     return "unknown";
 }

@@ -35,6 +35,7 @@
 #define SMASH_OBS_TRACE_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -79,7 +80,10 @@ enum class FlushReason : std::uint32_t
     kDeadline = 1,
     kPriority = 2,
     kManual = 3,
+    kIdle = 4, //!< a free compute slot (work-conserving flush)
 };
+
+inline constexpr std::size_t kNumFlushReasons = 5;
 
 /** Dispatch path shapes (kDispatch a2). */
 enum class DispatchPath : std::uint32_t

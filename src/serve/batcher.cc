@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "obs/trace.hh"
 
 namespace smash::serve
 {
@@ -12,11 +11,11 @@ namespace smash::serve
 namespace
 {
 
-/** Registry reason label of one FlushReason (obs::FlushReason). */
+/** Registry series of one FlushReason (obs::FlushReason order). */
 obs::Counter&
-globalFlushCounter(int reason)
+globalFlushCounter(obs::FlushReason reason)
 {
-    static obs::Counter* by_reason[4] = {
+    static obs::Counter* by_reason[obs::kNumFlushReasons] = {
         &obs::MetricsRegistry::global().counter(
             "smash_batcher_flushes_total{reason=\"size\"}"),
         &obs::MetricsRegistry::global().counter(
@@ -25,8 +24,10 @@ globalFlushCounter(int reason)
             "smash_batcher_flushes_total{reason=\"priority\"}"),
         &obs::MetricsRegistry::global().counter(
             "smash_batcher_flushes_total{reason=\"manual\"}"),
+        &obs::MetricsRegistry::global().counter(
+            "smash_batcher_flushes_total{reason=\"idle\"}"),
     };
-    return *by_reason[static_cast<std::size_t>(reason) % 4];
+    return *by_reason[static_cast<std::size_t>(reason)];
 }
 
 /** Best (numerically lowest) priority present in a batch. */
@@ -42,14 +43,17 @@ topPriority(const std::vector<Request>& batch)
 } // namespace
 
 Batcher::Batcher(Index max_batch, std::chrono::microseconds max_delay,
-                 std::chrono::microseconds batch_delay, FlushFn flush)
+                 std::chrono::microseconds batch_delay, FlushFn flush,
+                 int compute_slots)
     : max_batch_(max_batch), max_delay_(max_delay),
-      batch_delay_(batch_delay), flush_(std::move(flush))
+      batch_delay_(batch_delay), flush_(std::move(flush)),
+      slots_(compute_slots)
 {
     // Validate before the timer thread exists: a throw with a
     // joinable thread member would std::terminate during unwinding.
     SMASH_CHECK(max_batch_ >= 1, "batch size must be positive");
     SMASH_CHECK(flush_ != nullptr, "batcher needs a flush callback");
+    SMASH_CHECK(slots_ >= 0, "compute slots must be non-negative");
     timer_ = std::thread([this] { timerLoop(); });
 }
 
@@ -85,11 +89,21 @@ Batcher::flushBy(const Request& request) const
     return std::min(cap, request.expiry);
 }
 
-void
-Batcher::noteFlush(obs::Counter& local, std::size_t batch_size,
-                   int reason)
+std::vector<Request>
+Batcher::takeLocked(Queue& q)
 {
-    local.inc();
+    std::vector<Request> batch;
+    batch.swap(q.pending);
+    q.top = Priority::kBatch;
+    if (slots_ > 0)
+        ++computing_;
+    return batch;
+}
+
+void
+Batcher::noteFlush(obs::FlushReason reason, std::size_t batch_size)
+{
+    flushes_[static_cast<std::size_t>(reason)].inc();
     globalFlushCounter(reason).inc();
     static obs::Histogram& width =
         obs::MetricsRegistry::global().histogram(
@@ -112,6 +126,7 @@ Batcher::enqueue(const QueueKey& key, Request request)
                       static_cast<std::uint32_t>(key.op),
                       static_cast<std::uint32_t>(priority));
     std::vector<Request> batch;
+    obs::FlushReason reason;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Queue& q = queues_[key];
@@ -120,25 +135,55 @@ Batcher::enqueue(const QueueKey& key, Request request)
         const Clock::time_point cap = flushBy(request);
         const bool tightened = cap < q.due;
         q.due = std::min(q.due, cap);
+        q.top = std::min(q.top, priority);
         q.pending.push_back(std::move(request));
-        const bool full =
-            static_cast<Index>(q.pending.size()) >= max_batch_;
-        if (!full && priority != Priority::kHigh) {
+        if (static_cast<Index>(q.pending.size()) >= max_batch_)
+            reason = obs::FlushReason::kSize;
+        else if (priority == Priority::kHigh)
+            reason = obs::FlushReason::kPriority;
+        else if (priority == Priority::kNormal && computing_ < slots_)
+            reason = obs::FlushReason::kIdle; // nothing to wait for
+        else {
             if (tightened)
                 cv_.notify_all(); // timer re-evaluates its target
             return;
         }
-        batch.swap(q.pending);
+        batch = takeLocked(q);
     }
-    if (static_cast<Index>(batch.size()) >= max_batch_)
-        noteFlush(size_flushes_, batch.size(),
-                  static_cast<int>(obs::FlushReason::kSize));
-    else
-        noteFlush(priority_flushes_, batch.size(),
-                  static_cast<int>(obs::FlushReason::kPriority));
-    // Full batch or a kHigh arrival: flush inline on the enqueuing
-    // thread, outside the lock (the callback may enqueue pool work
-    // or run compute).
+    noteFlush(reason, batch.size());
+    // Flush inline on the enqueuing thread, outside the lock (the
+    // callback may enqueue pool work or run compute).
+    flush_(key, std::move(batch));
+}
+
+void
+Batcher::computeDone()
+{
+    if (slots_ == 0)
+        return;
+    QueueKey key;
+    std::vector<Request> batch;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        SMASH_CHECK(computing_ > 0, "computeDone without a flush");
+        if (--computing_ >= slots_)
+            return; // timer flushes overbooked the slots
+        // The freed slot goes to the parked latency-bound queue
+        // that is due first; kBatch-only queues keep coalescing.
+        Queue* next = nullptr;
+        for (auto& [k, q] : queues_) {
+            if (q.pending.empty() || q.top == Priority::kBatch)
+                continue;
+            if (next == nullptr || q.due < next->due) {
+                next = &q;
+                key = k;
+            }
+        }
+        if (next == nullptr)
+            return;
+        batch = takeLocked(*next);
+    }
+    noteFlush(obs::FlushReason::kIdle, batch.size());
     flush_(key, std::move(batch));
 }
 
@@ -148,12 +193,9 @@ Batcher::flushAll()
     std::vector<std::pair<QueueKey, std::vector<Request>>> due;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (auto& [key, q] : queues_) {
-            if (q.pending.empty())
-                continue;
-            due.emplace_back(key, std::move(q.pending));
-            q.pending.clear();
-        }
+        for (auto& [key, q] : queues_)
+            if (!q.pending.empty())
+                due.emplace_back(key, takeLocked(q));
     }
     // Priority-aware ordering: queues holding high-priority work
     // reach the pipeline first.
@@ -163,8 +205,7 @@ Batcher::flushAll()
                              topPriority(b.second);
                      });
     for (auto& [key, batch] : due) {
-        noteFlush(manual_flushes_, batch.size(),
-                  static_cast<int>(obs::FlushReason::kManual));
+        noteFlush(obs::FlushReason::kManual, batch.size());
         flush_(key, std::move(batch));
     }
 }
@@ -196,12 +237,9 @@ Batcher::timerLoop()
         // Flush every queue that is due, best priority first.
         const Clock::time_point now = Clock::now();
         std::vector<std::pair<QueueKey, std::vector<Request>>> due;
-        for (auto& [key, q] : queues_) {
-            if (!q.pending.empty() && q.due <= now) {
-                due.emplace_back(key, std::move(q.pending));
-                q.pending.clear();
-            }
-        }
+        for (auto& [key, q] : queues_)
+            if (!q.pending.empty() && q.due <= now)
+                due.emplace_back(key, takeLocked(q));
         std::stable_sort(due.begin(), due.end(),
                          [](const auto& a, const auto& b) {
                              return topPriority(a.second) <
@@ -209,8 +247,7 @@ Batcher::timerLoop()
                          });
         lock.unlock();
         for (auto& [key, batch] : due) {
-            noteFlush(deadline_flushes_, batch.size(),
-                      static_cast<int>(obs::FlushReason::kDeadline));
+            noteFlush(obs::FlushReason::kDeadline, batch.size());
             flush_(key, std::move(batch));
         }
         lock.lock();

@@ -5,13 +5,30 @@
  * A Batcher coalesces concurrent requests into per-(matrix, op
  * class) queues (QueueKey): SpMV requests against one matrix merge
  * into one batched multi-RHS call, SpMM blocks concatenate into one
- * wide traversal, SpAdd merges share a queue for ordering. A queue
- * flushes when it reaches the maximum batch size (inline, on the
- * enqueuing thread — zero added latency at full load), when its
- * deadline passes (from the timer thread — bounded latency at low
- * load), or immediately when a kHigh-priority request arrives
- * (inline; the high request drags any already-queued work along
- * with it).
+ * wide traversal, SpAdd merges share a queue for ordering.
+ *
+ * Flush rule (work-conserving for latency-bound work). A batcher
+ * built with compute slots (a Session passes its pool size) tracks
+ * how many flushed batches are computing; each flush takes a slot
+ * and the pipeline hands it back through computeDone() once the
+ * batch has computed. A queue flushes:
+ *   - inline, when it reaches the maximum batch size (zero added
+ *     latency at full load);
+ *   - inline, when a kHigh request arrives (it drags any queued
+ *     work along with it);
+ *   - inline, when a kNormal request arrives and a slot is free —
+ *     nothing else is computing that the request could wait for;
+ *   - from computeDone(), which flushes the parked queue holding
+ *     kNormal/kHigh work with the earliest flush time into the slot
+ *     it frees, so batches form only from requests that arrived
+ *     while every slot was busy (natural batching);
+ *   - from the timer thread, when the queue's wait cap passes —
+ *     the backstop that bounds kBatch waits and surfaces requests
+ *     whose own deadline expired.
+ * kBatch requests never take an idle slot: they wait for the size
+ * cap or batch_delay, so bulk work still coalesces deeply. Without
+ * slots (compute_slots == 0) there is no idle flush, and kNormal
+ * requests wait for the size cap or max_delay.
  *
  * Priority-aware flush ordering: each request's priority caps its
  * queue's wait — kHigh flushes now, kNormal within max_delay,
@@ -22,11 +39,13 @@
  *
  * Ownership/threading contract: the Batcher owns its queues and
  * timer thread; requests own their promises until a flush hands
- * them to the callback. enqueue()/flushAll() are thread-safe, and
- * the flush callback always runs with no Batcher lock held (it may
- * re-enter the pool or run compute inline). The callback must
- * outlive the Batcher; destruction stops the timer, then flushes
- * every remaining queue (counted as manual flushes).
+ * them to the callback. enqueue()/flushAll()/computeDone() are
+ * thread-safe, and the flush callback always runs with no Batcher
+ * lock held (it may re-enter the pool or run compute inline). The
+ * callback must outlive the Batcher, and every computeDone() call
+ * must return before the Batcher is destroyed; destruction stops
+ * the timer, then flushes every remaining queue (counted as manual
+ * flushes).
  */
 
 #ifndef SMASH_SERVE_BATCHER_HH
@@ -45,13 +64,14 @@
 
 #include "common/types.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "serve/request.hh"
 
 namespace smash::serve
 {
 
-/** Coalesces per-(matrix, op) requests; flushes on size, deadline,
- *  or a high-priority arrival. */
+/** Coalesces per-(matrix, op) requests; flushes on size, a free
+ *  compute slot, a high-priority arrival, or the wait cap. */
 class Batcher
 {
   public:
@@ -66,9 +86,13 @@ class Batcher
      * @param max_delay   wait cap of a queued kNormal request
      * @param batch_delay wait cap of a queued kBatch request
      *        (kHigh requests flush their queue immediately)
+     * @param compute_slots batches that may compute at once; every
+     *        flush takes one until computeDone() returns it. 0 turns
+     *        the idle-slot flush off.
      */
     Batcher(Index max_batch, std::chrono::microseconds max_delay,
-            std::chrono::microseconds batch_delay, FlushFn flush);
+            std::chrono::microseconds batch_delay, FlushFn flush,
+            int compute_slots = 0);
 
     Batcher(const Batcher&) = delete;
     Batcher& operator=(const Batcher&) = delete;
@@ -78,11 +102,20 @@ class Batcher
 
     /**
      * Add one request to the (matrix, op) queue of @p key. Flushes
-     * inline when the queue reaches max_batch or the request is
-     * kHigh priority; otherwise the timer flushes at the queue's
-     * (priority/deadline-capped) flush time.
+     * inline when the queue reaches max_batch, the request is kHigh
+     * priority, or it is kNormal and a compute slot is free;
+     * otherwise the queue waits for a slot (kNormal) or the timer
+     * (its priority/deadline-capped flush time).
      */
     void enqueue(const QueueKey& key, Request request);
+
+    /**
+     * One flushed batch finished computing: return its slot and, if
+     * a parked queue holds kNormal or kHigh work, flush the one due
+     * first into it (inline, on the calling thread). Call exactly
+     * once per flushed batch; a no-op without compute slots.
+     */
+    void computeDone();
 
     /** Flush every queue now, highest-priority queues first. */
     void flushAll();
@@ -91,25 +124,36 @@ class Batcher
     /** Batches flushed by reaching max_batch. Per-instance read-
      *  throughs over the obs counters (which also feed the global
      *  smash_batcher_flushes_total{reason=...} series). */
-    std::uint64_t sizeFlushes() const { return size_flushes_.value(); }
+    std::uint64_t
+    sizeFlushes() const
+    {
+        return count(obs::FlushReason::kSize);
+    }
     /** Batches flushed by the timer at a deadline. */
     std::uint64_t
     deadlineFlushes() const
     {
-        return deadline_flushes_.value();
+        return count(obs::FlushReason::kDeadline);
     }
     /** Batches flushed inline by a kHigh-priority arrival. */
     std::uint64_t
     priorityFlushes() const
     {
-        return priority_flushes_.value();
+        return count(obs::FlushReason::kPriority);
     }
     /** Batches flushed by explicit flushAll() calls (including the
      *  destructor's final sweep). */
     std::uint64_t
     manualFlushes() const
     {
-        return manual_flushes_.value();
+        return count(obs::FlushReason::kManual);
+    }
+    /** Batches flushed into a free compute slot (a kNormal arrival
+     *  or computeDone()). */
+    std::uint64_t
+    idleFlushes() const
+    {
+        return count(obs::FlushReason::kIdle);
     }
 
   private:
@@ -118,30 +162,40 @@ class Batcher
         std::vector<Request> pending;
         /** Earliest wait cap among the pending requests. */
         Clock::time_point due = Clock::time_point::max();
+        /** Best priority among the pending requests. */
+        Priority top = Priority::kBatch;
     };
 
     /** Wait cap of one request, from its priority and deadline. */
     Clock::time_point flushBy(const Request& request) const;
+    /** Empty @p q into a batch that takes a compute slot. Caller
+     *  holds mutex_. */
+    std::vector<Request> takeLocked(Queue& q);
     void timerLoop();
     /** Count one flush: the per-instance counter (accessor API)
      *  plus the process-global reason-labelled series and trace. */
-    void noteFlush(obs::Counter& local, std::size_t batch_size,
-                   int reason);
+    void noteFlush(obs::FlushReason reason, std::size_t batch_size);
+    std::uint64_t
+    count(obs::FlushReason reason) const
+    {
+        return flushes_[static_cast<std::size_t>(reason)].value();
+    }
 
     const Index max_batch_;
     const std::chrono::microseconds max_delay_;
     const std::chrono::microseconds batch_delay_;
     const FlushFn flush_;
+    const int slots_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::unordered_map<QueueKey, Queue, QueueKeyHash> queues_;
-    /** Per-instance flush counters (the accessor API above); the
-     *  same events also bump the registry's global series. */
-    obs::Counter size_flushes_;
-    obs::Counter deadline_flushes_;
-    obs::Counter priority_flushes_;
-    obs::Counter manual_flushes_;
+    /** Flushed batches not yet returned through computeDone(). */
+    int computing_ = 0;
+    /** Per-instance flush counters by obs::FlushReason (the
+     *  accessor API above); the same events also bump the
+     *  registry's global series. */
+    obs::Counter flushes_[obs::kNumFlushReasons];
     bool stop_ = false;
     std::thread timer_; //!< started in the ctor body, after validation
 };

@@ -3,6 +3,7 @@
 #include <exception>
 #include <memory>
 #include <utility>
+#include <variant>
 
 #include "common/logging.hh"
 #include "common/parallel_exec.hh"
@@ -111,6 +112,15 @@ Pipeline::postPrepare(const QueueKey& key, Request request,
         return;
     }
 
+    // The task holds one more in-flight unit until its last touch
+    // of this pipeline: with a compute slot free, the hand-off can
+    // compute and deliver the request before enqueue() returns, and
+    // drain() must not see idle while noteProgress() is still to
+    // run here.
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++inflight_;
+    }
     // shared_ptr: promises are move-only but the pool's task type
     // (std::function) requires copyable callables.
     auto req = std::make_shared<Request>(std::move(request));
@@ -138,6 +148,7 @@ Pipeline::postPrepare(const QueueKey& key, Request request,
             failOne(*req, Status(StatusCode::kInternal,
                                  "unknown prepare failure"));
         }
+        leave(1); // the task's hold
     });
 }
 
@@ -203,10 +214,9 @@ Pipeline::postReencode(const std::string& matrix)
 }
 
 void
-Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch)
+Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch,
+                      Batcher& batcher)
 {
-    if (batch.empty())
-        return;
     // The batch-wait stage ends here, when the flush hands the
     // batch to the compute stage (not when the task gets a worker —
     // queueing for a worker is part of the compute stage's cost).
@@ -215,16 +225,8 @@ Pipeline::postCompute(const QueueKey& key, std::vector<Request> batch)
         r.flushed = now;
     auto shared =
         std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_.post([this, key, shared] {
-        try {
-            computeBatch(key, *shared);
-        } catch (const std::exception& ex) {
-            failRemaining(*shared,
-                          Status(StatusCode::kInternal, ex.what()));
-        } catch (...) {
-            failRemaining(*shared, Status(StatusCode::kInternal,
-                                          "unknown compute failure"));
-        }
+    pool_.post([this, key, shared, &batcher] {
+        runBatch(key, *shared, batcher);
     });
 }
 
@@ -317,61 +319,74 @@ Pipeline::deliver(Request& request, Work& work, T value)
 }
 
 void
-Pipeline::computeBatch(const QueueKey& key,
-                       std::vector<Request>& batch)
+Pipeline::runBatch(const QueueKey& key, std::vector<Request>& batch,
+                   Batcher& batcher)
 {
+    ComputeSlot slot(batcher);
     // Deadline gate: a request whose budget ran out while it was
     // queued resolves to kDeadlineExceeded instead of computing —
     // at overload, work the client has given up on is shed here.
     const Request::Clock::time_point now = Request::Clock::now();
-    std::uint64_t n_expired = 0;
     std::vector<Request> live;
+    std::vector<Request> expired;
     live.reserve(batch.size());
-    for (Request& r : batch) {
-        if (r.expiry <= now) {
-            r.resolved = true;
-            r.fail(Status(StatusCode::kDeadlineExceeded,
-                          "deadline passed before compute"));
-            ++n_expired;
-        } else {
-            live.push_back(std::move(r));
-        }
-    }
-    if (n_expired > 0) {
-        stats_.expired.fetch_add(n_expired, std::memory_order_relaxed);
-        finish(n_expired, false);
-    }
-    if (live.empty())
-        return;
+    for (Request& r : batch)
+        (r.expiry <= now ? expired : live).push_back(std::move(r));
     batch.swap(live);
 
-    static obs::Counter& batches_total =
-        obs::MetricsRegistry::global().counter(
-            "smash_pipeline_batches_total");
-    batches_total.inc();
-    const auto width = static_cast<std::uint32_t>(batch.size());
-    const std::uint64_t t0 =
-        obs::traceEnabled() ? obs::traceNowNs() : 0;
-    switch (key.op) {
-      case OpClass::kSpmv:
-        computeSpmv(key.matrix, batch);
-        break;
-      case OpClass::kSpmm:
-        computeSpmm(key.matrix, batch);
-        break;
-      case OpClass::kSpadd:
-        computeSpadd(key.matrix, batch);
-        break;
-      default:
-        SMASH_PANIC("unknown op class");
+    Status failure;
+    if (!batch.empty()) {
+        static obs::Counter& batches_total =
+            obs::MetricsRegistry::global().counter(
+                "smash_pipeline_batches_total");
+        batches_total.inc();
+        const auto width = static_cast<std::uint32_t>(batch.size());
+        const std::uint64_t t0 =
+            obs::traceEnabled() ? obs::traceNowNs() : 0;
+        try {
+            switch (key.op) {
+              case OpClass::kSpmv:
+                computeSpmv(key.matrix, batch, slot);
+                break;
+              case OpClass::kSpmm:
+                computeSpmm(key.matrix, batch, slot);
+                break;
+              case OpClass::kSpadd:
+                computeSpadd(key.matrix, batch, slot);
+                break;
+              default:
+                SMASH_PANIC("unknown op class");
+            }
+        } catch (const std::exception& ex) {
+            failure = Status(StatusCode::kInternal, ex.what());
+        } catch (...) {
+            failure = Status(StatusCode::kInternal,
+                             "unknown compute failure");
+        }
+        SMASH_TRACE_SPAN(obs::EventKind::kPipelineCompute, t0,
+                         static_cast<std::uint32_t>(key.op), width);
     }
-    SMASH_TRACE_SPAN(obs::EventKind::kPipelineCompute, t0,
-                     static_cast<std::uint32_t>(key.op), width);
+    // A no-op when the compute stage already returned the slot. It
+    // must go back before any request below resolves: once the last
+    // one does, Session::drain() may return and destroy the batcher.
+    slot.release();
+    for (Request& r : expired) {
+        r.resolved = true;
+        r.fail(Status(StatusCode::kDeadlineExceeded,
+                      "deadline passed before compute"));
+    }
+    if (!expired.empty()) {
+        stats_.expired.fetch_add(expired.size(),
+                                 std::memory_order_relaxed);
+        finish(expired.size(), false);
+    }
+    if (!failure.ok())
+        failRemaining(batch, failure);
 }
 
 void
 Pipeline::computeSpmv(const std::string& matrix,
-                      std::vector<Request>& batch)
+                      std::vector<Request>& batch, ComputeSlot& slot)
 {
     // Sharded entries compute scatter–gather over their shards;
     // otherwise the shared_ptr pins this epoch's encoding for the
@@ -405,13 +420,8 @@ Pipeline::computeSpmv(const std::string& matrix,
         stats_.batches.fetch_add(1, std::memory_order_relaxed);
         storeMax(stats_.widestBatch, 1);
         batch[0].computed = Request::Clock::now();
-        auto shared = std::make_shared<std::vector<Request>>();
-        shared->push_back(std::move(batch[0]));
-        auto result = std::make_shared<std::vector<Value>>(std::move(y));
-        pool_.post([this, shared, result] {
-            deliver((*shared)[0], std::get<SpmvWork>((*shared)[0].work),
-                    std::move(*result));
-        });
+        slot.release();
+        deliver(batch[0], w, std::move(y));
         return;
     }
 
@@ -423,8 +433,9 @@ Pipeline::computeSpmv(const std::string& matrix,
     // Sharded matrices take the logical height — each shard pads to
     // its own format's granularity internally.
     const Index xlen = sharded ? sharded->cols() : held->xLength();
-    fmt::DenseMatrix x(xlen, nrhs);
+    fmt::DenseMatrix y(rows, nrhs);
     {
+        fmt::DenseMatrix x(xlen, nrhs); // freed before delivery
         std::vector<const Value*> sources(
             static_cast<std::size_t>(nrhs));
         std::vector<Index> lens(static_cast<std::size_t>(nrhs));
@@ -445,16 +456,15 @@ Pipeline::computeSpmv(const std::string& matrix,
                              [static_cast<std::size_t>(j)]
                     : Value(0);
         }
-    }
-    auto y = std::make_shared<fmt::DenseMatrix>(rows, nrhs);
-    if (sharded) {
-        sharded->spmvBatch(x, *y, shard_pool);
-    } else if (compute_ == ComputeExec::kParallel) {
-        exec::ParallelExec pe(pool_);
-        eng::spmvBatch(held->ref(), x, *y, pe);
-    } else {
-        sim::NativeExec ne;
-        eng::spmvBatch(held->ref(), x, *y, ne);
+        if (sharded) {
+            sharded->spmvBatch(x, y, shard_pool);
+        } else if (compute_ == ComputeExec::kParallel) {
+            exec::ParallelExec pe(pool_);
+            eng::spmvBatch(held->ref(), x, y, pe);
+        } else {
+            sim::NativeExec ne;
+            eng::spmvBatch(held->ref(), x, y, ne);
+        }
     }
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch, static_cast<std::uint64_t>(nrhs));
@@ -465,36 +475,31 @@ Pipeline::computeSpmv(const std::string& matrix,
             r.computed = done;
     }
 
-    // Reduce/deliver stage: its own task, so this worker can pick
-    // up the next batch while another thread scatters results out.
-    auto shared =
-        std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_.post([this, shared, y, rows] {
-        // One streaming pass over the row-major Y block: each row
-        // scatters to every request's result, instead of one
-        // strided (line-per-element) pass per request.
-        const auto n = static_cast<Index>(shared->size());
-        std::vector<std::vector<Value>> outs(
-            static_cast<std::size_t>(n));
-        for (auto& out : outs)
-            out.resize(static_cast<std::size_t>(rows));
-        for (Index i = 0; i < rows; ++i) {
-            const Value* row = y->rowData(i);
-            for (Index r = 0; r < n; ++r)
-                outs[static_cast<std::size_t>(r)]
-                    [static_cast<std::size_t>(i)] = row[r];
-        }
-        for (Index r = 0; r < n; ++r) {
-            Request& req = (*shared)[static_cast<std::size_t>(r)];
-            deliver(req, std::get<SpmvWork>(req.work),
-                    std::move(outs[static_cast<std::size_t>(r)]));
-        }
-    });
+    // Reduce/deliver stage, on this worker: the slot is already
+    // back, so the next batch computes on another one meanwhile.
+    slot.release();
+    // One streaming pass over the row-major Y block: each row
+    // scatters to every request's result, instead of one strided
+    // (line-per-element) pass per request.
+    std::vector<std::vector<Value>> outs(static_cast<std::size_t>(nrhs));
+    for (auto& out : outs)
+        out.resize(static_cast<std::size_t>(rows));
+    for (Index i = 0; i < rows; ++i) {
+        const Value* row = y.rowData(i);
+        for (Index r = 0; r < nrhs; ++r)
+            outs[static_cast<std::size_t>(r)]
+                [static_cast<std::size_t>(i)] = row[r];
+    }
+    for (Index r = 0; r < nrhs; ++r) {
+        Request& req = batch[static_cast<std::size_t>(r)];
+        deliver(req, std::get<SpmvWork>(req.work),
+                std::move(outs[static_cast<std::size_t>(r)]));
+    }
 }
 
 void
 Pipeline::computeSpmm(const std::string& matrix,
-                      std::vector<Request>& batch)
+                      std::vector<Request>& batch, ComputeSlot& slot)
 {
     const std::shared_ptr<shard::ShardedMatrix> sharded =
         registry_.sharded(matrix);
@@ -510,32 +515,36 @@ Pipeline::computeSpmm(const std::string& matrix,
     Index total = 0;
     for (const Request& r : batch)
         total += std::get<SpmmWork>(r.work).b.cols();
-    fmt::DenseMatrix x(xlen, total);
-    Index off = 0;
-    for (const Request& r : batch) {
-        // Row-streaming copy: both blocks are row-major, so copy
-        // each source row into its slice of the wide row.
-        const fmt::DenseMatrix& b = std::get<SpmmWork>(r.work).b;
-        const Index jmax = std::min(xlen, b.rows());
-        const Index nc = b.cols();
-        for (Index j = 0; j < jmax; ++j) {
-            const Value* src = b.rowData(j);
-            Value* dst = x.rowData(j) + off;
-            for (Index c = 0; c < nc; ++c)
-                dst[c] = src[c];
+    fmt::DenseMatrix y(rows, total);
+    {
+        fmt::DenseMatrix x(xlen, total); // freed before delivery
+        Index off = 0;
+        for (const Request& r : batch) {
+            // Row-streaming copy: both blocks are row-major, so copy
+            // each source row into its slice of the wide row.
+            const fmt::DenseMatrix& b = std::get<SpmmWork>(r.work).b;
+            const Index jmax = std::min(xlen, b.rows());
+            const Index nc = b.cols();
+            for (Index j = 0; j < jmax; ++j) {
+                const Value* src = b.rowData(j);
+                Value* dst = x.rowData(j) + off;
+                for (Index c = 0; c < nc; ++c)
+                    dst[c] = src[c];
+            }
+            off += nc;
         }
-        off += nc;
-    }
-    auto y = std::make_shared<fmt::DenseMatrix>(rows, total);
-    if (sharded) {
-        sharded->spmvBatch(
-            x, *y, compute_ == ComputeExec::kParallel ? &pool_ : nullptr);
-    } else if (compute_ == ComputeExec::kParallel) {
-        exec::ParallelExec pe(pool_);
-        eng::spmmBatch(held->ref(), x, *y, pe);
-    } else {
-        sim::NativeExec ne;
-        eng::spmmBatch(held->ref(), x, *y, ne);
+        if (sharded) {
+            sharded->spmvBatch(x, y,
+                               compute_ == ComputeExec::kParallel
+                                   ? &pool_
+                                   : nullptr);
+        } else if (compute_ == ComputeExec::kParallel) {
+            exec::ParallelExec pe(pool_);
+            eng::spmmBatch(held->ref(), x, y, pe);
+        } else {
+            sim::NativeExec ne;
+            eng::spmmBatch(held->ref(), x, y, ne);
+        }
     }
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch,
@@ -548,75 +557,79 @@ Pipeline::computeSpmm(const std::string& matrix,
     }
 
     // Deliver: slice each request's columns back out of the wide Y.
-    auto shared =
-        std::make_shared<std::vector<Request>>(std::move(batch));
-    pool_.post([this, shared, y, rows] {
-        Index off = 0;
-        for (Request& req : *shared) {
-            auto& w = std::get<SpmmWork>(req.work);
-            const Index nc = w.b.cols();
-            fmt::DenseMatrix out(rows, nc);
-            // Row-streaming slice out of the wide row-major Y.
-            for (Index i = 0; i < rows; ++i) {
-                const Value* src = y->rowData(i) + off;
-                Value* dst = out.rowData(i);
-                for (Index c = 0; c < nc; ++c)
-                    dst[c] = src[c];
-            }
-            off += nc;
-            deliver(req, w, std::move(out));
+    slot.release();
+    Index off = 0;
+    for (Request& req : batch) {
+        auto& w = std::get<SpmmWork>(req.work);
+        const Index nc = w.b.cols();
+        fmt::DenseMatrix out(rows, nc);
+        // Row-streaming slice out of the wide row-major Y.
+        for (Index i = 0; i < rows; ++i) {
+            const Value* src = y.rowData(i) + off;
+            Value* dst = out.rowData(i);
+            for (Index c = 0; c < nc; ++c)
+                dst[c] = src[c];
         }
-    });
+        off += nc;
+        deliver(req, w, std::move(out));
+    }
 }
 
 void
 Pipeline::computeSpadd(const std::string& matrix,
-                       std::vector<Request>& batch)
+                       std::vector<Request>& batch, ComputeSlot& slot)
 {
     // SpAdd requests do not coalesce into one kernel call; the
     // queue still gives them batching's scheduling benefits (one
     // task per flush, priority ordering). Each merge runs on the
-    // CSR masters and delivers inline — the result is the payload,
-    // there is no block to scatter.
+    // CSR masters; a failed merge fails only its own request.
     stats_.batches.fetch_add(1, std::memory_order_relaxed);
     storeMax(stats_.widestBatch,
              static_cast<std::uint64_t>(batch.size()));
     const std::shared_ptr<shard::ShardedMatrix> sharded =
         registry_.sharded(matrix);
+    std::vector<std::variant<fmt::CooMatrix, Status>> sums;
+    sums.reserve(batch.size());
     for (Request& req : batch) {
-        auto& w = std::get<SpaddWork>(req.work);
+        const std::string& other = std::get<SpaddWork>(req.work).other;
         try {
             if (sharded) {
                 // Per-shard merge straight off the shard masters; the
                 // secondary operand still comes through the registry's
                 // whole-matrix CSR view.
                 const MatrixRegistry::EncodingPtr b =
-                    registry_.encodedAs(w.other, eng::Format::kCsr);
-                fmt::CooMatrix sum = sharded->spadd(
+                    registry_.encodedAs(other, eng::Format::kCsr);
+                sums.emplace_back(sharded->spadd(
                     b->as<fmt::CsrMatrix>(),
                     compute_ == ComputeExec::kParallel ? &pool_
-                                                       : nullptr);
-                req.computed = Request::Clock::now();
-                deliver(req, w, std::move(sum));
-                continue;
+                                                       : nullptr));
+            } else {
+                const MatrixRegistry::EncodingPtr a =
+                    registry_.encodedAs(matrix, eng::Format::kCsr);
+                const MatrixRegistry::EncodingPtr b =
+                    registry_.encodedAs(other, eng::Format::kCsr);
+                eng::SparseMatrixAny sum = [&] {
+                    if (compute_ == ComputeExec::kParallel) {
+                        exec::ParallelExec pe(pool_);
+                        return eng::spadd(a->ref(), b->ref(), pe);
+                    }
+                    sim::NativeExec ne;
+                    return eng::spadd(a->ref(), b->ref(), ne);
+                }();
+                sums.emplace_back(sum.as<fmt::CooMatrix>());
             }
-            const MatrixRegistry::EncodingPtr a =
-                registry_.encodedAs(matrix, eng::Format::kCsr);
-            const MatrixRegistry::EncodingPtr b =
-                registry_.encodedAs(w.other, eng::Format::kCsr);
-            eng::SparseMatrixAny sum = [&] {
-                if (compute_ == ComputeExec::kParallel) {
-                    exec::ParallelExec pe(pool_);
-                    return eng::spadd(a->ref(), b->ref(), pe);
-                }
-                sim::NativeExec ne;
-                return eng::spadd(a->ref(), b->ref(), ne);
-            }();
             req.computed = Request::Clock::now();
-            deliver(req, w, sum.as<fmt::CooMatrix>());
         } catch (const std::exception& ex) {
-            failOne(req, Status(StatusCode::kInternal, ex.what()));
+            sums.emplace_back(Status(StatusCode::kInternal, ex.what()));
         }
+    }
+    slot.release();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        Request& req = batch[i];
+        if (auto* sum = std::get_if<fmt::CooMatrix>(&sums[i]))
+            deliver(req, std::get<SpaddWork>(req.work), std::move(*sum));
+        else
+            failOne(req, std::get<Status>(sums[i]));
     }
 }
 
@@ -632,6 +645,12 @@ Pipeline::finish(std::uint64_t n, bool ok)
     (ok ? completed : failed).add(n);
     if (!ok)
         stats_.failed.fetch_add(n, std::memory_order_relaxed);
+    leave(n);
+}
+
+void
+Pipeline::leave(std::uint64_t n)
+{
     std::lock_guard<std::mutex> lock(mutex_);
     SMASH_CHECK(inflight_ >= n, "pipeline accounting underflow");
     inflight_ -= n;

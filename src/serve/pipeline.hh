@@ -1,26 +1,30 @@
 /**
  * @file
  * The serving layer's async pipeline. Each request flows through
- * three stages, every one a task posted to the shared ThreadPool:
+ * three stages, run by two kinds of task on the shared ThreadPool:
  *
  *   encode/convert — resolve the encodings the request's op class
  *       needs through the registry (first touch converts, later
- *       touches hit the cache) and hand the request to the batcher;
+ *       touches hit the cache) and hand the request to the batcher
+ *       (inline on the submitting thread when every encoding is
+ *       already cached);
  *   compute        — lower a flushed (matrix, op) batch onto one
  *       engine call: SpMV batches onto eng::spmvBatch, SpMM blocks
  *       concatenate onto eng::spmmBatch, SpAdd merges run per
- *       request through eng::spadd;
- *   reduce/deliver — scatter results back per request and fulfil
- *       the promises with serve::Result values.
+ *       request through eng::spadd. The batch's compute slot then
+ *       goes back to the batcher (Batcher::computeDone), which may
+ *       flush parked work into it;
+ *   reduce/deliver — in the same task: scatter results back per
+ *       request and fulfil the promises with serve::Result values.
  *
- * Because the stages are independent tasks, the expensive CSR→SMASH
- * conversion of one request overlaps the compute of another — the
- * fig20 conversion cost hides behind in-flight work instead of
- * serializing in front of it. Failures travel through the promises
- * as non-kOk Results (no exception crosses the serving boundary):
- * a stage failure resolves exactly the requests it was carrying
- * with kInternal, and a request whose deadline passed before its
- * batch computed resolves to kDeadlineExceeded.
+ * Because prepare and compute are separate tasks, the expensive
+ * CSR→SMASH conversion of one request overlaps the compute of
+ * another — the fig20 conversion cost hides behind in-flight work
+ * instead of serializing in front of it. Failures travel through
+ * the promises as non-kOk Results (no exception crosses the serving
+ * boundary): a stage failure resolves exactly the requests it was
+ * carrying with kInternal, and a request whose deadline passed
+ * before its batch computed resolves to kDeadlineExceeded.
  *
  * Delivery also records each request's submit→delivery latency into
  * a per-priority histogram (latency.hh) — the source of the
@@ -46,6 +50,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -166,8 +171,16 @@ class Pipeline
     void postPrepare(const QueueKey& key, Request request,
                      Batcher& batcher);
 
-    /** Stage 2 entry: post the compute task for a flushed batch. */
-    void postCompute(const QueueKey& key, std::vector<Request> batch);
+    /**
+     * Stage 2 entry: post the compute task for a batch @p batcher
+     * flushed. The task hands the batch's compute slot back through
+     * Batcher::computeDone() exactly once — on the normal, all-
+     * expired and exception paths alike — and before any request of
+     * the batch resolves, so once drain() has returned no release
+     * can still be pending against the batcher.
+     */
+    void postCompute(const QueueKey& key, std::vector<Request> batch,
+                     Batcher& batcher);
 
     /**
      * Maintenance entry: run the registry's pending re-encode for
@@ -181,10 +194,10 @@ class Pipeline
     /**
      * Block until every submitted request has been delivered or
      * failed. Requests still parked in a batcher count as in-flight;
-     * its deadline timer (or flushAll()) releases them. Callers that
-     * own the batcher (Session::drain) use drainWait() and flush on
-     * every progress event, so draining neither sits out a long
-     * flush cap nor burns a core polling.
+     * a freed compute slot, its timer (or flushAll()) releases
+     * them. Callers that own the batcher (Session::drain) use
+     * drainWait() and flush on every progress event, so draining
+     * neither sits out a long flush cap nor burns a core polling.
      */
     void drain();
 
@@ -204,14 +217,35 @@ class Pipeline
     const PipelineStats& stats() const { return stats_; }
 
   private:
-    void computeBatch(const QueueKey& key,
-                      std::vector<Request>& batch);
+    /** One flushed batch's compute slot, returned at most once. */
+    class ComputeSlot
+    {
+      public:
+        explicit ComputeSlot(Batcher& batcher) : batcher_(&batcher) {}
+
+        void
+        release()
+        {
+            if (batcher_ != nullptr)
+                std::exchange(batcher_, nullptr)->computeDone();
+        }
+
+      private:
+        Batcher* batcher_;
+    };
+
+    /** The compute task body: shed expired requests, compute the
+     *  rest, return the slot, resolve everything. */
+    void runBatch(const QueueKey& key, std::vector<Request>& batch,
+                  Batcher& batcher);
+    /** The compute stages release @p slot once the kernel is done,
+     *  then deliver inline. */
     void computeSpmv(const std::string& matrix,
-                     std::vector<Request>& batch);
+                     std::vector<Request>& batch, ComputeSlot& slot);
     void computeSpmm(const std::string& matrix,
-                     std::vector<Request>& batch);
+                     std::vector<Request>& batch, ComputeSlot& slot);
     void computeSpadd(const std::string& matrix,
-                      std::vector<Request>& batch);
+                      std::vector<Request>& batch, ComputeSlot& slot);
     /** Resolve one delivered request: value, latency, accounting. */
     template <typename T, typename Work>
     void deliver(Request& request, Work& work, T value);
@@ -226,6 +260,8 @@ class Pipeline
     void failOne(Request& request, const Status& status);
     /** Mark @p n requests left the pipeline (delivered or failed). */
     void finish(std::uint64_t n, bool ok);
+    /** Drop @p n in-flight units; wakes drain() at zero. */
+    void leave(std::uint64_t n);
 
     MatrixRegistry& registry_;
     exec::ThreadPool& pool_;

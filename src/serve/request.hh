@@ -8,7 +8,8 @@
  * admission control, and returns a future<Result<T>> (result.hh).
  *
  *   priority  — kHigh flushes its queue immediately (latency),
- *               kNormal waits up to the session's maxDelay,
+ *               kNormal flushes when a compute slot is free and
+ *               waits at most the session's maxDelay,
  *               kBatch waits up to batchDelay (throughput);
  *   deadline  — relative budget covering admission blocking and
  *               queue wait; expired requests resolve to
@@ -49,7 +50,7 @@ namespace smash::serve
 enum class Priority
 {
     kHigh = 0,   //!< flush immediately; drags its queue along
-    kNormal = 1, //!< flush within the session's maxDelay
+    kNormal = 1, //!< flush on a free compute slot, within maxDelay
     kBatch = 2,  //!< flush within batchDelay (deep coalescing)
 };
 

@@ -50,8 +50,10 @@ Session::Session(MatrixRegistry& registry, const SessionOptions& options)
       batcher_(options.maxBatch, options.maxDelay,
                resolveBatchDelay(options),
                [this](const QueueKey& key, std::vector<Request> batch) {
-                   pipeline_.postCompute(key, std::move(batch));
-               })
+                   pipeline_.postCompute(key, std::move(batch),
+                                         batcher_);
+               },
+               pool_.size())
 {
     SMASH_CHECK(options_.maxInflight >= 0 &&
                     options_.maxInflightPerMatrix >= 0,

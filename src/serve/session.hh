@@ -25,8 +25,10 @@
  * delivery. At capacity, a request's RequestOptions decide —
  * kFailFast resolves to kOverloaded immediately; kBlock waits for
  * a slot (bounded by the request's deadline). Priorities shape the
- * batcher's flush order: kHigh flushes its queue now, kNormal
- * within maxDelay, kBatch within batchDelay.
+ * batcher's flush order: kHigh flushes its queue now; kNormal
+ * flushes as soon as one of the pool's compute slots is free
+ * (within maxDelay at worst); kBatch waits up to batchDelay to
+ * coalesce.
  *
  * Sessions are thread-safe: any number of client threads may
  * submit() concurrently, and several Sessions may share one
@@ -79,7 +81,9 @@ struct SessionOptions
 {
     int threads = 4;     //!< pool workers running the stages
     Index maxBatch = 16; //!< coalesce up to this many requests
-    std::chrono::microseconds maxDelay{200}; //!< kNormal flush cap
+    /** kNormal wait cap while every compute slot is busy (an
+     *  idle slot flushes a kNormal request at once). */
+    std::chrono::microseconds maxDelay{200};
     /** kBatch flush cap; zero means 8 x maxDelay, and a value
      *  below maxDelay is raised to it. */
     std::chrono::microseconds batchDelay{0};

@@ -280,7 +280,7 @@ TEST(NetCodec, SpaddRequestRoundTrip)
 
 TEST(NetCodec, HelloRoundTrip)
 {
-    for (const std::string tenant :
+    for (const std::string& tenant :
          {std::string(""), std::string("team-a"),
           std::string(400, 'x')}) {
         net::Buffer bytes;

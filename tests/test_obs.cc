@@ -6,92 +6,27 @@
  * accounting through a live serve::Session, trace ring-buffer
  * wraparound, JSON validity of a dumped trace, and the
  * zero-allocation property of the warmed *instrumented* SpMV path
- * (the same global operator new override idiom as test_perf_paths —
+ * (counted by alloc_counter.cc, as in test_perf_paths —
  * instrumentation must not cost the steady state its no-heap
  * contract).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <new>
+#include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "engine/dispatch.hh"
 #include "formats/convert.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/session.hh"
 #include "workloads/matrix_gen.hh"
-
-namespace smash
-{
-namespace
-{
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocs{0};
-
-/** Allocations observed (on any thread) while fn() ran. */
-template <typename Fn>
-std::uint64_t
-allocationsDuring(Fn&& fn)
-{
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_release);
-    fn();
-    g_counting.store(false, std::memory_order_release);
-    return g_allocs.load(std::memory_order_relaxed);
-}
-
-} // namespace
-} // namespace smash
-
-// Counting overrides (outside any namespace, whole-binary scope).
-void*
-operator new(std::size_t size)
-{
-    if (smash::g_counting.load(std::memory_order_acquire))
-        smash::g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace smash
 {

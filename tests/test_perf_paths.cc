@@ -4,91 +4,27 @@
  * invalidation, and the zero-allocation property of the warmed
  * SpMV dispatch paths.
  *
- * The allocation counter overrides global operator new/delete for
- * this test binary only and counts allocations inside explicitly
- * marked measurement windows. gtest and the library allocate
- * freely outside the windows; inside one, the warmed serial and
+ * The allocation counter (alloc_counter.cc, linked into this binary)
+ * overrides global operator new/delete and counts allocations inside
+ * explicitly marked measurement windows. gtest and the library
+ * allocate freely outside the windows; inside one, the warmed serial and
  * parallel SpMV paths must not touch the heap at all — that is the
  * contract the PlanCache + ScratchArena layer exists to provide.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "common/parallel_exec.hh"
 #include "engine/dispatch.hh"
 #include "formats/csr_matrix.hh"
 #include "kernels/util.hh"
 #include "sim/exec_model.hh"
 #include "workloads/matrix_gen.hh"
-
-namespace
-{
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocs{0};
-
-/** Allocations observed while fn() ran on this thread. Note the
- *  counter is global: pool workers' allocations (if fn fans out)
- *  are counted too — exactly what the steady-state contract needs. */
-template <typename Fn>
-std::uint64_t
-allocationsDuring(Fn&& fn)
-{
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_release);
-    fn();
-    g_counting.store(false, std::memory_order_release);
-    return g_allocs.load(std::memory_order_relaxed);
-}
-
-} // namespace
-
-// Counting overrides. Deliberately outside any namespace; sized
-// deallocation variants forward so every delete form is covered.
-void*
-operator new(std::size_t size)
-{
-    if (g_counting.load(std::memory_order_acquire))
-        g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace smash
 {

@@ -20,10 +20,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel_exec.hh"
@@ -540,6 +543,122 @@ TEST(Batcher, FlushAllOrdersQueuesByPriority)
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], "interactive"); // kNormal ahead of kBatch
     EXPECT_EQ(order[1], "bulk");
+}
+
+/** A slotted Batcher whose fake flush callback records each batch's
+ *  (matrix, width); computeDone() calls stand in for the pipeline. */
+struct SlottedBatcher
+{
+    std::mutex mu;
+    std::vector<std::pair<std::string, std::size_t>> flushed;
+    serve::Batcher batcher;
+
+    SlottedBatcher(Index max_batch, int slots)
+        : batcher(max_batch, std::chrono::seconds(10),
+                  std::chrono::seconds(10),
+                  [this](const serve::QueueKey& key,
+                         std::vector<serve::Request> batch) {
+                      std::lock_guard<std::mutex> lock(mu);
+                      flushed.emplace_back(key.matrix, batch.size());
+                  },
+                  slots)
+    {}
+
+    std::vector<std::pair<std::string, std::size_t>>
+    take()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return std::exchange(flushed, {});
+    }
+};
+
+TEST(BatcherSlots, IdleNormalArrivalFlushesInline)
+{
+    SlottedBatcher b(64, 2);
+    b.batcher.enqueue(spmvKey("m"), plainRequest());
+    const auto flushed = b.take();
+    ASSERT_EQ(flushed.size(), 1u); // no wait for the 10 s cap
+    EXPECT_EQ(flushed[0].second, 1u);
+    EXPECT_EQ(b.batcher.idleFlushes(), 1u);
+    // The second slot is still free: the next arrival flushes too.
+    b.batcher.enqueue(spmvKey("m"), plainRequest());
+    EXPECT_EQ(b.take().size(), 1u);
+    EXPECT_EQ(b.batcher.idleFlushes(), 2u);
+    EXPECT_EQ(b.batcher.deadlineFlushes(), 0u);
+}
+
+TEST(BatcherSlots, BusySlotsParkNormalUntilComputeDone)
+{
+    SlottedBatcher b(64, 1);
+    b.batcher.enqueue(spmvKey("m"), plainRequest()); // takes the slot
+    ASSERT_EQ(b.take().size(), 1u);
+    for (int i = 0; i < 3; ++i)
+        b.batcher.enqueue(spmvKey("m"), plainRequest());
+    EXPECT_TRUE(b.take().empty()); // parked behind the busy slot
+    b.batcher.computeDone();       // the first batch finished
+    const auto flushed = b.take();
+    ASSERT_EQ(flushed.size(), 1u); // one batch of everything parked
+    EXPECT_EQ(flushed[0].second, 3u);
+    EXPECT_EQ(b.batcher.idleFlushes(), 2u);
+    b.batcher.computeDone(); // nothing parked: nothing flushes
+    EXPECT_TRUE(b.take().empty());
+    EXPECT_EQ(b.batcher.idleFlushes(), 2u);
+}
+
+TEST(BatcherSlots, ComputeDoneFlushesTheQueueDueFirst)
+{
+    SlottedBatcher b(64, 1);
+    b.batcher.enqueue(spmvKey("busy"), plainRequest());
+    ASSERT_EQ(b.take().size(), 1u);
+    b.batcher.enqueue(spmvKey("late"), plainRequest());
+    // Arrives second, but its deadline makes its queue due first.
+    serve::Request urgent = plainRequest();
+    urgent.expiry = serve::Request::Clock::now() + std::chrono::seconds(5);
+    b.batcher.enqueue(spmvKey("early"), std::move(urgent));
+    EXPECT_TRUE(b.take().empty());
+    b.batcher.computeDone();
+    auto flushed = b.take();
+    ASSERT_EQ(flushed.size(), 1u); // one freed slot, one batch
+    EXPECT_EQ(flushed[0].first, "early");
+    b.batcher.computeDone();
+    flushed = b.take();
+    ASSERT_EQ(flushed.size(), 1u);
+    EXPECT_EQ(flushed[0].first, "late");
+}
+
+TEST(BatcherSlots, BatchPriorityNeverTakesAnIdleSlot)
+{
+    SlottedBatcher b(64, 2);
+    b.batcher.enqueue(spmvKey("bulk"),
+                      plainRequest(serve::Priority::kBatch));
+    EXPECT_TRUE(b.take().empty()); // both slots free, still parked
+    b.batcher.enqueue(spmvKey("m"), plainRequest());
+    ASSERT_EQ(b.take().size(), 1u); // the kNormal one took a slot
+    b.batcher.computeDone();        // ... and gave it back
+    EXPECT_TRUE(b.take().empty())
+        << "a freed slot pulled a kBatch-only queue";
+    EXPECT_EQ(b.batcher.idleFlushes(), 1u);
+    b.batcher.flushAll();
+    const auto flushed = b.take();
+    ASSERT_EQ(flushed.size(), 1u);
+    EXPECT_EQ(flushed[0].first, "bulk");
+    EXPECT_EQ(b.batcher.manualFlushes(), 1u);
+}
+
+TEST(BatcherSlots, SizeCapStillFlushesInlineWhileBusy)
+{
+    SlottedBatcher b(3, 1);
+    b.batcher.enqueue(spmvKey("m"), plainRequest()); // takes the slot
+    ASSERT_EQ(b.take().size(), 1u);
+    b.batcher.enqueue(spmvKey("m"), plainRequest());
+    b.batcher.enqueue(spmvKey("m"), plainRequest());
+    EXPECT_TRUE(b.take().empty());
+    b.batcher.enqueue(spmvKey("m"), plainRequest()); // reaches 3
+    const auto flushed = b.take();
+    ASSERT_EQ(flushed.size(), 1u);
+    EXPECT_EQ(flushed[0].second, 3u);
+    EXPECT_EQ(b.batcher.sizeFlushes(), 1u);
+    EXPECT_EQ(b.batcher.idleFlushes(), 1u);
 }
 
 TEST(ServeRegistry, SelectsOnceAndCachesConversions)
@@ -1069,6 +1188,95 @@ TEST(Deadlines, ExpiredRequestResolvesDeadlineExceeded)
     session.drain();
     EXPECT_EQ(session.stats().expired.load(), 1u);
     EXPECT_EQ(session.stats().completed.load(), 0u);
+}
+
+TEST(WorkConserving, LoneNormalRequestSkipsTheDelayCap)
+{
+    serve::MatrixRegistry registry;
+    registry.put("m", dyadicMatrix(96, 96, 5));
+    registry.encoded("m"); // prepare takes the cached fast path
+    for (int threads : threadCounts()) {
+        serve::SessionOptions opts;
+        opts.threads = threads;
+        opts.maxBatch = 64;
+        opts.maxDelay = std::chrono::seconds(10);
+        opts.batchDelay = std::chrono::seconds(10);
+        serve::Session session(registry, opts);
+        const std::vector<Value> x = rampVector(96, 3);
+        auto f = session.submit(serve::SpmvRequest{"m", x});
+        // Every compute slot is idle: the request flushes on
+        // arrival instead of waiting out the 10 s cap.
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(5)),
+                  std::future_status::ready)
+            << threads << " threads";
+        serve::Result<std::vector<Value>> result = f.get();
+        ASSERT_TRUE(result.ok()) << result.status().toString();
+        const std::vector<Value> want = serialOracle(registry, "m", x);
+        ASSERT_EQ(result.value().size(), want.size());
+        EXPECT_EQ(std::memcmp(result.value().data(), want.data(),
+                              want.size() * sizeof(Value)),
+                  0)
+            << threads << " threads";
+        EXPECT_EQ(session.batcher().idleFlushes(), 1u);
+        EXPECT_EQ(session.batcher().deadlineFlushes(), 0u);
+    }
+}
+
+TEST(WorkConserving, SessionDiesRightAfterItsLastReply)
+{
+    // The compute task returns its slot to the batcher before the
+    // batch's requests resolve, so destroying the session the moment
+    // the last reply lands never races a release against the dying
+    // batcher (TSan runs this suite). Every op class and the
+    // all-expired path go through the loop.
+    serve::MatrixRegistry registry;
+    registry.put("a", dyadicMatrix(48, 48, 4));
+    registry.put("b", dyadicMatrix(48, 48, 3));
+    for (int threads : threadCounts()) {
+        for (int round = 0; round < 50; ++round) {
+            serve::SessionOptions opts;
+            opts.threads = threads;
+            auto session =
+                std::make_unique<serve::Session>(registry, opts);
+            serve::RequestOptions expiring;
+            expiring.deadline = std::chrono::microseconds(1);
+            switch (round % 4) {
+              case 0:
+                ASSERT_TRUE(session
+                                ->submit(serve::SpmvRequest{
+                                    "a", rampVector(48, round)})
+                                .get()
+                                .ok());
+                break;
+              case 1:
+                ASSERT_TRUE(session
+                                ->submit(serve::SpmmRequest{
+                                    "a", dyadicBlock(48, 3, round)})
+                                .get()
+                                .ok());
+                break;
+              case 2:
+                ASSERT_TRUE(
+                    session->submit(serve::SpaddRequest{"a", "b"})
+                        .get()
+                        .ok());
+                break;
+              default: {
+                // Expires before compute (or already in admission).
+                const serve::StatusCode code =
+                    session
+                        ->submit(serve::SpmvRequest{
+                            "a", rampVector(48, round), expiring})
+                        .get()
+                        .status()
+                        .code();
+                EXPECT_EQ(code, serve::StatusCode::kDeadlineExceeded);
+                break;
+              }
+            }
+            session.reset();
+        }
+    }
 }
 
 TEST(ServeSession, RejectsBadOptionsWithoutTerminating)

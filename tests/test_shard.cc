@@ -116,8 +116,9 @@ TEST(NumaTopology, ProbeInvariants)
             ASSERT_LT(node, topo.nodeCount());
         }
         if (topo.nodeCount() == 1 &&
-            topo.cpuCount() >= static_cast<int>(k))
+            topo.cpuCount() >= static_cast<int>(k)) {
             EXPECT_EQ(all.size(), total) << "overlap at K=" << k;
+        }
     }
 }
 

@@ -23,18 +23,17 @@
  *    in the loop (the contract test_perf_paths.cc pins for the
  *    untiled paths, extended here to the tiled driver).
  *
- * The allocation counter duplicates the test_perf_paths.cc pattern:
+ * The allocation counter is test_perf_paths.cc's (alloc_counter.cc):
  * overrides are binary-local, counting only inside marked windows.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "common/bitops.hh"
 #include "common/cpu_features.hh"
 #include "common/parallel_exec.hh"
@@ -46,65 +45,6 @@
 #include "kernels/simd/simd_kernels.hh"
 #include "sim/exec_model.hh"
 #include "workloads/matrix_gen.hh"
-
-namespace
-{
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocs{0};
-
-template <typename Fn>
-std::uint64_t
-allocationsDuring(Fn&& fn)
-{
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_release);
-    fn();
-    g_counting.store(false, std::memory_order_release);
-    return g_allocs.load(std::memory_order_relaxed);
-}
-
-} // namespace
-
-void*
-operator new(std::size_t size)
-{
-    if (g_counting.load(std::memory_order_acquire))
-        g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace smash
 {
