@@ -110,7 +110,7 @@ run(int argc, char** argv)
     // inline on the mutating thread — the async path is the serving
     // pipeline's and is covered by tests/test_reselect.cc).
     serve::MatrixRegistry pinned;
-    serve::ReselectPolicy off;
+    eng::ReselectPolicy off;
     off.enabled = false;
     pinned.setReselectPolicy(off);
     serve::MatrixRegistry adaptive;

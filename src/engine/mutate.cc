@@ -106,36 +106,39 @@ applyUpdates(fmt::CsrMatrix& m, const fmt::CooMatrix& deltas,
     return stats;
 }
 
-MutationStats
-replaceRows(fmt::CsrMatrix& m, const std::vector<Index>& rows,
-            const fmt::CooMatrix& replacement,
-            const StructureListener& listener)
+std::vector<bool>
+checkReplaceRows(Index rows, Index cols, const std::vector<Index>& listed,
+                 const fmt::CooMatrix& replacement)
 {
     SMASH_CHECK(replacement.isCanonical(),
                 "replaceRows requires canonical COO replacement rows");
-    SMASH_CHECK(replacement.rows() == m.rows() &&
-                    replacement.cols() == m.cols(),
+    SMASH_CHECK(replacement.rows() == rows && replacement.cols() == cols,
                 "replacement shape ", replacement.rows(), "x",
-                replacement.cols(), " does not match matrix ",
-                m.rows(), "x", m.cols());
-    MutationStats stats;
-    if (rows.empty()) {
-        SMASH_CHECK(replacement.nnz() == 0,
-                    "replacement entries but no rows listed");
-        return stats;
-    }
-
-    std::vector<bool> replaced(static_cast<std::size_t>(m.rows()),
-                               false);
-    for (Index r : rows) {
-        SMASH_CHECK(r >= 0 && r < m.rows(), "replaceRows: row ", r,
-                    " out of range for ", m.rows(), " rows");
+                replacement.cols(), " does not match matrix ", rows, "x",
+                cols);
+    std::vector<bool> replaced(static_cast<std::size_t>(rows), false);
+    for (Index r : listed) {
+        SMASH_CHECK(r >= 0 && r < rows, "replaceRows: row ", r,
+                    " out of range for ", rows, " rows");
         replaced[static_cast<std::size_t>(r)] = true;
     }
     for (const fmt::CooEntry& e : replacement.entries())
         SMASH_CHECK(replaced[static_cast<std::size_t>(e.row)],
                     "replacement entry at row ", e.row,
                     " which is not listed for replacement");
+    return replaced;
+}
+
+MutationStats
+replaceRows(fmt::CsrMatrix& m, const std::vector<Index>& rows,
+            const fmt::CooMatrix& replacement,
+            const StructureListener& listener)
+{
+    const std::vector<bool> replaced =
+        checkReplaceRows(m.rows(), m.cols(), rows, replacement);
+    MutationStats stats;
+    if (rows.empty())
+        return stats;
 
     const std::vector<fmt::CsrIndex>& row_ptr = m.rowPtr();
     const std::vector<fmt::CsrIndex>& col_ind = m.colInd();
@@ -205,7 +208,7 @@ scaleValues(fmt::CsrMatrix& m, Value factor)
     if (m.nnz() == 0 || factor == Value(1))
         return stats;
     // Values-only: scale in place — no index copies, no structural
-    // re-validation, and minimal time under the caller's slot lock.
+    // re-validation, and minimal time under the caller's lock.
     m.scaleValues(factor);
     stats.updated = m.nnz();
     return stats;

@@ -13,7 +13,7 @@
  *
  * Ownership/threading contract: the functions mutate @p m on the
  * calling thread and are not internally synchronized — callers
- * (serve::MatrixRegistry) serialize mutations per matrix. Each call
+ * (eng::MatrixCell) serialize mutations per matrix. Each call
  * costs one O(nnz + deltas) merge pass; the result is again a valid
  * canonical CSR matrix (sorted columns, no duplicates, no stored
  * exact zeros except via scaleValues(0)).
@@ -70,6 +70,17 @@ MutationStats applyUpdates(fmt::CsrMatrix& m,
  * entries becomes empty). Every @p replacement entry must name a
  * listed row; @p replacement must be canonical and share the shape.
  */
+/**
+ * replaceRows()'s argument check on its own, for callers that must
+ * reject a bad call before touching any of several matrices: throws
+ * FatalError unless @p replacement is canonical and @p rows x
+ * @p cols, every @p listed row is in range, and every replacement
+ * entry names a listed row. Returns the listed-row mask.
+ */
+std::vector<bool> checkReplaceRows(Index rows, Index cols,
+                                   const std::vector<Index>& listed,
+                                   const fmt::CooMatrix& replacement);
+
 MutationStats replaceRows(fmt::CsrMatrix& m,
                           const std::vector<Index>& rows,
                           const fmt::CooMatrix& replacement,

@@ -14,8 +14,8 @@
  * definitions, same block size).
  *
  * Ownership/threading contract: plain value type, no internal
- * locking — the owner (serve::MatrixRegistry's per-matrix slot)
- * guards it with the slot mutex. onStructureChange() matches the
+ * locking — the owner (eng::MatrixCell) guards it with its
+ * mutex. onStructureChange() matches the
  * eng::StructureListener signature so mutation calls can feed it
  * directly.
  */

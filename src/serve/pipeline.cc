@@ -391,7 +391,7 @@ Pipeline::computeSpmv(const std::string& matrix,
     // Sharded entries compute scatter–gather over their shards;
     // otherwise the shared_ptr pins this epoch's encoding for the
     // whole compute: a concurrent mutation or drift re-encode swaps
-    // the registry slot without pulling the matrix out from under
+    // the matrix's cell without pulling the matrix out from under
     // us. (Each shard's encoding is pinned the same way, inside the
     // shard layer.)
     const std::shared_ptr<shard::ShardedMatrix> sharded =

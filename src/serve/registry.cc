@@ -1,6 +1,6 @@
 #include "serve/registry.hh"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -11,26 +11,13 @@
 namespace smash::serve
 {
 
-eng::Format
-MatrixRegistry::insertSlot(const std::string& name,
-                           fmt::CsrMatrix master,
-                           eng::StructureTracker profile,
-                           eng::Format format,
-                           const eng::SparseMatrixAny::BuildOptions&
-                               build)
+void
+MatrixRegistry::insert(const std::string& name, Entry entry)
 {
-    auto slot = std::make_unique<Slot>();
-    slot->master = std::move(master);
-    slot->profile = std::move(profile);
-    slot->chosen = format;
-    slot->pendingTarget = format;
-    slot->build = build;
     std::lock_guard<std::mutex> lock(mutex_);
-    const bool inserted =
-        slots_.emplace(name, std::move(slot)).second;
+    const bool inserted = entries_.emplace(name, std::move(entry)).second;
     SMASH_CHECK(inserted, "registry already holds a matrix named '",
                 name, "'");
-    return format;
 }
 
 eng::Format
@@ -43,8 +30,10 @@ MatrixRegistry::put(const std::string& name, fmt::CooMatrix coo)
     fmt::CsrMatrix master = fmt::CsrMatrix::fromCoo(coo);
     eng::StructureTracker profile(master);
     const eng::Format chosen = eng::chooseFormat(profile.stats());
-    return insertSlot(name, std::move(master), std::move(profile),
-                      chosen, eng::SparseMatrixAny::BuildOptions());
+    insert(name, std::make_unique<eng::MatrixCell>(
+                     std::move(master), std::move(profile), chosen,
+                     eng::SparseMatrixAny::BuildOptions()));
+    return chosen;
 }
 
 eng::Format
@@ -64,8 +53,10 @@ MatrixRegistry::put(const std::string& name, fmt::CooMatrix coo,
         coo.canonicalize();
     fmt::CsrMatrix master = fmt::CsrMatrix::fromCoo(coo);
     eng::StructureTracker profile(master);
-    return insertSlot(name, std::move(master), std::move(profile),
-                      format, build);
+    insert(name, std::make_unique<eng::MatrixCell>(
+                     std::move(master), std::move(profile), format,
+                     build));
+    return format;
 }
 
 eng::Format
@@ -83,220 +74,90 @@ MatrixRegistry::registerSharded(
 {
     if (!coo.isCanonical())
         coo.canonicalize();
-    const fmt::CsrMatrix master = fmt::CsrMatrix::fromCoo(coo);
-    auto slot = std::make_unique<Slot>();
-    // The ShardedMatrix owns the content (per-shard masters,
-    // profiles, format choices, encodings); the slot's own master
-    // stays empty and its encodings map only caches whole-matrix
-    // materializations.
-    slot->sharded = std::make_shared<shard::ShardedMatrix>(
-        name, master, shards, build);
-    slot->chosen = slot->sharded->primaryFormat();
-    slot->pendingTarget = slot->chosen;
-    slot->build = build;
-    const eng::Format chosen = slot->chosen;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const bool inserted =
-        slots_.emplace(name, std::move(slot)).second;
-    SMASH_CHECK(inserted, "registry already holds a matrix named '",
-                name, "'");
+    auto sharded = std::make_shared<shard::ShardedMatrix>(
+        name, fmt::CsrMatrix::fromCoo(coo), shards, build);
+    const eng::Format chosen = sharded->primaryFormat();
+    insert(name, std::move(sharded));
     return chosen;
 }
 
 std::shared_ptr<shard::ShardedMatrix>
 MatrixRegistry::sharded(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded;
+    const auto* sharded =
+        std::get_if<std::shared_ptr<shard::ShardedMatrix>>(
+            &entry(name));
+    return sharded ? *sharded : nullptr;
 }
 
 bool
 MatrixRegistry::contains(const std::string& name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return slots_.count(name) != 0;
+    return entries_.count(name) != 0;
 }
 
-MatrixRegistry::Slot&
-MatrixRegistry::slot(const std::string& name) const
+const MatrixRegistry::Entry&
+MatrixRegistry::entry(const std::string& name) const
 {
+    // Entries are never erased, so the reference outlives the lock.
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = slots_.find(name);
-    SMASH_CHECK(it != slots_.end(), "registry has no matrix named '",
+    auto it = entries_.find(name);
+    SMASH_CHECK(it != entries_.end(), "registry has no matrix named '",
                 name, "'");
-    return *it->second;
+    return it->second;
 }
 
 Index
 MatrixRegistry::rows(const std::string& name) const
 {
-    // The master is mutable now: even shape reads take the slot
-    // lock (adopt() move-assigns the whole CsrMatrix).
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded ? s.sharded->rows() : s.master.rows();
+    return visit(name, [](const auto& m) { return m.rows(); });
 }
 
 Index
 MatrixRegistry::cols(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded ? s.sharded->cols() : s.master.cols();
+    return visit(name, [](const auto& m) { return m.cols(); });
 }
 
 eng::Format
 MatrixRegistry::format(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded ? s.sharded->primaryFormat() : s.chosen;
-}
-
-MatrixRegistry::EncodingPtr
-MatrixRegistry::encodedLocked(Slot& s, eng::Format format)
-{
-    auto it = s.encodings.find(format);
-    if (it == s.encodings.end()) {
-        // Sharded entries build whole-matrix views from the
-        // concatenated shard slices (bit-identical to the content
-        // the matrix was registered with, as mutated since); these
-        // serve ops that need a monolithic operand, e.g. SpAdd.
-        const fmt::CsrMatrix source =
-            s.sharded ? s.sharded->toCsr() : fmt::CsrMatrix();
-        it = s.encodings
-                 .emplace(format,
-                          std::make_shared<const eng::SparseMatrixAny>(
-                              eng::SparseMatrixAny::fromCsr(
-                                  s.sharded ? source : s.master,
-                                  format, s.build)))
-                 .first;
-        ++s.conversions;
-    }
-    return it->second;
+    return visit(name, [](const auto& m) { return m.format(); });
 }
 
 MatrixRegistry::EncodingPtr
 MatrixRegistry::encoded(const std::string& name)
 {
-    // Resolve the current format and the encoding under one
-    // critical section: reading chosen, dropping the lock, and
-    // re-locking would let a concurrent re-encode swap land in
-    // between — and this call would then rebuild and cache the
-    // just-retired format.
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return encodedLocked(s, s.chosen);
+    return visit(name, [](auto& m) { return m.encoded(); });
 }
 
 MatrixRegistry::EncodingPtr
 MatrixRegistry::encodedAs(const std::string& name, eng::Format format)
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return encodedLocked(s, format);
+    return visit(name, [format](auto& m) { return m.encodedAs(format); });
 }
 
 MatrixRegistry::EncodingPtr
 MatrixRegistry::encodedIfCached(const std::string& name)
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.encodings.find(s.chosen);
-    return it != s.encodings.end() ? it->second : nullptr;
+    return visit(name, [](const auto& m) { return m.encodedIfCached(); });
 }
 
 MatrixRegistry::EncodingPtr
 MatrixRegistry::encodedAsIfCached(const std::string& name,
                                   eng::Format format)
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    auto it = s.encodings.find(format);
-    return it != s.encodings.end() ? it->second : nullptr;
+    return visit(name, [format](const auto& m) {
+        return m.encodedAsIfCached(format);
+    });
 }
 
-bool
-MatrixRegistry::finishMutation(Slot& s, bool structural,
-                               UpdateOutcome& out)
-{
-    out.target = s.reencodePending ? s.pendingTarget : s.chosen;
-    if (out.stats.inserted + out.stats.removed + out.stats.updated ==
-        0) {
-        // Nothing changed (empty deltas, scale by 1): keep the
-        // cached encodings — invalidation would force a pointless
-        // reconversion (the fig20 cost) on the next request.
-        return false;
-    }
-    // Values changed: every cached encoding is stale. In-flight
-    // readers keep their shared_ptr epochs; the next encoded() call
-    // rebuilds from the new master.
-    ++s.epoch;
-    s.encodings.clear();
-    if (!structural)
-        return false; // value-only change cannot move a boundary
-
-    ReselectPolicy policy;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        policy = policy_;
-    }
-    if (!policy.enabled || s.reencodePending)
-        return false;
-    // Cheap gate first: don't even snapshot the profile until the
-    // accumulated structural churn is worth a decision.
-    const Index changed = s.profile.changedSinceRebase();
-    const Index need = std::max(
-        policy.minChanged,
-        static_cast<Index>(policy.minChangedFraction *
-                           static_cast<double>(
-                               std::max<Index>(1, s.profile.nnz()))));
-    if (changed < need)
-        return false;
-    const eng::Format target = eng::chooseFormatSticky(
-        s.profile.stats(), s.chosen, policy.margin);
-    if (target == s.chosen) {
-        // Inside the hysteresis band: stay put, and restart the
-        // drift accumulation so the next check needs fresh churn.
-        s.profile.rebase();
-        return false;
-    }
-    s.reencodePending = true;
-    s.pendingTarget = target;
-    out.reencodeScheduled = true;
-    out.target = target;
-    return true;
-}
-
-shard::DriftPolicy
-MatrixRegistry::shardPolicy() const
+eng::ReselectPolicy
+MatrixRegistry::policy() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    shard::DriftPolicy policy;
-    policy.enabled = policy_.enabled;
-    policy.minChangedFraction = policy_.minChangedFraction;
-    policy.minChanged = policy_.minChanged;
-    policy.margin = policy_.margin;
-    return policy;
-}
-
-bool
-MatrixRegistry::finishShardedMutation(
-    Slot& s, const shard::ShardMutationOutcome& so,
-    UpdateOutcome& out)
-{
-    out.stats = so.stats;
-    out.reencodeScheduled = so.reencodeScheduled;
-    out.target = so.reencodeScheduled ? so.target : s.chosen;
-    if (so.stats.inserted + so.stats.removed + so.stats.updated >
-        0) {
-        // The shards already invalidated their own encodings; drop
-        // the slot's whole-matrix materializations too.
-        ++s.epoch;
-        s.encodings.clear();
-    }
-    return so.reencodeScheduled;
+    return policy_;
 }
 
 void
@@ -321,167 +182,69 @@ MatrixRegistry::fireReencode(const std::string& name,
     runReencode(name);
 }
 
-UpdateOutcome
+eng::UpdateOutcome
 MatrixRegistry::applyUpdates(const std::string& name,
                              fmt::CooMatrix deltas)
 {
     if (!deltas.isCanonical())
         deltas.canonicalize();
-    Slot& s = slot(name);
-    UpdateOutcome out;
-    bool fire = false;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (s.sharded) {
-            fire = finishShardedMutation(
-                s, s.sharded->applyUpdates(deltas, shardPolicy()),
-                out);
-        } else {
-            eng::StructureTracker& tracker = s.profile;
-            out.stats = eng::applyUpdates(
-                s.master, deltas,
-                [&tracker](Index r, Index c, bool inserted) {
-                    tracker.onStructureChange(r, c, inserted);
-                });
-            fire =
-                finishMutation(s, out.stats.structural() > 0, out);
-        }
-    }
-    if (fire)
+    const eng::UpdateOutcome out = visit(name, [&](auto& m) {
+        return m.applyUpdates(deltas, policy());
+    });
+    // Fired with no matrix lock held.
+    if (out.reencodeScheduled)
         fireReencode(name, out.target);
     return out;
 }
 
-UpdateOutcome
+eng::UpdateOutcome
 MatrixRegistry::replaceRows(const std::string& name,
                             const std::vector<Index>& rows,
                             fmt::CooMatrix replacement)
 {
     if (!replacement.isCanonical())
         replacement.canonicalize();
-    Slot& s = slot(name);
-    UpdateOutcome out;
-    bool fire = false;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (s.sharded) {
-            fire = finishShardedMutation(
-                s,
-                s.sharded->replaceRows(rows, replacement,
-                                       shardPolicy()),
-                out);
-        } else {
-            eng::StructureTracker& tracker = s.profile;
-            out.stats = eng::replaceRows(
-                s.master, rows, replacement,
-                [&tracker](Index r, Index c, bool inserted) {
-                    tracker.onStructureChange(r, c, inserted);
-                });
-            fire =
-                finishMutation(s, out.stats.structural() > 0, out);
-        }
-    }
-    if (fire)
+    const eng::UpdateOutcome out = visit(name, [&](auto& m) {
+        return m.replaceRows(rows, replacement, policy());
+    });
+    if (out.reencodeScheduled)
         fireReencode(name, out.target);
     return out;
 }
 
-UpdateOutcome
+eng::UpdateOutcome
 MatrixRegistry::scaleValues(const std::string& name, Value factor)
 {
-    Slot& s = slot(name);
-    UpdateOutcome out;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (s.sharded) {
-            finishShardedMutation(s, s.sharded->scaleValues(factor),
-                                  out);
-        } else {
-            out.stats = eng::scaleValues(s.master, factor);
-            finishMutation(s, false, out);
-        }
-    }
-    return out;
+    return visit(name,
+                 [factor](auto& m) { return m.scaleValues(factor); });
 }
 
 eng::StructureStats
 MatrixRegistry::profile(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
     // Sharded entries profile per band; shard 0 stands in for the
     // whole-matrix view (use sharded()->profile(k) for the rest).
-    return s.sharded ? s.sharded->profile(0) : s.profile.stats();
+    return visit(name, [](const auto& m) { return m.profile(); });
 }
 
 void
 MatrixRegistry::runReencode(const std::string& name)
 {
-    Slot& s = slot(name);
-    {
-        // Sharded entries re-encode per shard: only the bands whose
-        // drift crossed a boundary rebuild, each under its own
-        // epoch check.
-        std::shared_ptr<shard::ShardedMatrix> sharded;
-        {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            sharded = s.sharded;
-        }
-        if (sharded) {
-            const int swapped = sharded->runPendingReencodes();
-            if (swapped > 0) {
-                std::lock_guard<std::mutex> lock(s.mutex);
-                s.chosen = sharded->primaryFormat();
-            }
-            return;
-        }
+    const Entry& e = entry(name);
+    if (const auto* sharded =
+            std::get_if<std::shared_ptr<shard::ShardedMatrix>>(&e)) {
+        (*sharded)->runReencode(); // swaps and reports per shard
+        return;
     }
-    // A mutation may land while the new encoding builds (the build
-    // runs with no lock held, so serving and updates continue). The
-    // epoch check detects that; a few retries chase a busy matrix,
-    // after which the pending flag clears so a later mutation can
-    // re-trigger the reselection.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-        fmt::CsrMatrix snapshot;
-        eng::Format target;
-        eng::SparseMatrixAny::BuildOptions build;
-        std::uint64_t epoch;
-        {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            if (!s.reencodePending)
-                return;
-            snapshot = s.master;
-            target = s.pendingTarget;
-            build = s.build;
-            epoch = s.epoch;
-        }
-        auto built = std::make_shared<const eng::SparseMatrixAny>(
-            eng::SparseMatrixAny::fromCsr(snapshot, target, build));
-        {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            if (s.epoch != epoch)
-                continue; // master moved underneath: rebuild
-            // Atomic swap: the new epoch becomes the primary; any
-            // reader still holding the old shared_ptr finishes on
-            // the old encoding.
-            s.chosen = target;
-            s.encodings.clear();
-            s.encodings.emplace(target, std::move(built));
-            ++s.conversions;
-            ++s.reselects;
-            s.reencodePending = false;
-            s.profile.rebase();
-            static obs::Counter& swaps =
-                obs::MetricsRegistry::global().counter(
-                    "smash_registry_epoch_swaps_total");
-            swaps.inc();
-            SMASH_TRACE_EVENT(obs::EventKind::kEpochSwap,
-                              static_cast<std::uint32_t>(target));
-            return;
-        }
-    }
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.reencodePending = false;
+    const std::optional<eng::Format> target =
+        std::get<std::unique_ptr<eng::MatrixCell>>(e)->runReencode();
+    if (!target)
+        return;
+    static obs::Counter& swaps = obs::MetricsRegistry::global().counter(
+        "smash_registry_epoch_swaps_total");
+    swaps.inc();
+    SMASH_TRACE_EVENT(obs::EventKind::kEpochSwap,
+                      static_cast<std::uint32_t>(*target));
 }
 
 void
@@ -506,7 +269,7 @@ MatrixRegistry::clearReencodeHook(const void* owner)
 }
 
 void
-MatrixRegistry::setReselectPolicy(const ReselectPolicy& policy)
+MatrixRegistry::setReselectPolicy(const eng::ReselectPolicy& policy)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     policy_ = policy;
@@ -515,57 +278,19 @@ MatrixRegistry::setReselectPolicy(const ReselectPolicy& policy)
 std::size_t
 MatrixRegistry::conversions(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded ? s.conversions + s.sharded->conversions()
-                     : s.conversions;
+    return info(name).conversions;
 }
 
 std::size_t
 MatrixRegistry::reselects(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.sharded ? s.reselects + s.sharded->reselects()
-                     : s.reselects;
+    return info(name).reselects;
 }
 
 MatrixInfo
 MatrixRegistry::info(const std::string& name) const
 {
-    Slot& s = slot(name);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    MatrixInfo out;
-    if (s.sharded) {
-        out.chosen = s.sharded->primaryFormat();
-        out.rows = s.sharded->rows();
-        out.cols = s.sharded->cols();
-        out.nnz = s.sharded->nnz();
-        out.conversions = s.conversions + s.sharded->conversions();
-        out.reselects = s.reselects + s.sharded->reselects();
-        out.epoch = s.epoch;
-        out.reencodePending = s.sharded->reencodePending();
-        out.shards = s.sharded->shardCount();
-        // The distinct formats currently live across the shards.
-        std::vector<eng::Format> formats = s.sharded->shardFormats();
-        std::sort(formats.begin(), formats.end());
-        formats.erase(std::unique(formats.begin(), formats.end()),
-                      formats.end());
-        out.cached = std::move(formats);
-        return out;
-    }
-    out.chosen = s.chosen;
-    out.rows = s.master.rows();
-    out.cols = s.master.cols();
-    out.nnz = s.master.nnz();
-    out.conversions = s.conversions;
-    out.reselects = s.reselects;
-    out.epoch = s.epoch;
-    out.reencodePending = s.reencodePending;
-    out.cached.reserve(s.encodings.size());
-    for (const auto& [format, encoding] : s.encodings)
-        out.cached.push_back(format);
-    return out;
+    return visit(name, [](const auto& m) { return m.info(); });
 }
 
 std::vector<std::string>
@@ -573,8 +298,8 @@ MatrixRegistry::names() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
-    out.reserve(slots_.size());
-    for (const auto& [name, slot] : slots_)
+    out.reserve(entries_.size());
+    for (const auto& [name, entry] : entries_)
         out.push_back(name);
     return out;
 }

@@ -5,96 +5,61 @@
  *
  * put() registers a matrix under a name, runs the engine's §7.2.3
  * structure analysis once to pick its primary format, and keeps the
- * content as a canonical CSR *master copy*. Encodings are built
- * lazily from the master — the first encoded() call converts (the
- * cost fig20 shows can dominate short-running kernels) and later
- * calls return the cached object.
+ * content as one eng::MatrixCell: a canonical CSR *master copy*
+ * whose encodings are built lazily — the first encoded() call
+ * converts (the cost fig20 shows can dominate short-running
+ * kernels) and later calls return the cached object.
+ * registerSharded() keeps it as a shard::ShardedMatrix of cells
+ * instead. Every entry point delegates to the one or the other;
+ * the lifecycle itself lives in eng::MatrixCell.
  *
  * Served matrices drift. The mutation API (applyUpdates /
  * replaceRows / scaleValues) applies deltas to the master,
  * invalidates every cached encoding (values changed), and feeds an
  * incremental StructureTracker. When enough structure has changed
- * (ReselectPolicy::minChangedFraction) and the profile has crossed
- * a §7.2.3 format boundary *decisively* (chooseFormatSticky's
- * hysteresis margin), the registry schedules one re-encode: through
- * the installed hook when a serving pipeline is attached (async, on
- * the shared ThreadPool), inline otherwise. runReencode() builds
- * the new encoding from a snapshot and swaps it in atomically.
+ * (eng::ReselectPolicy::minChangedFraction) and the profile has
+ * crossed a §7.2.3 format boundary *decisively*
+ * (chooseFormatSticky's hysteresis margin), the registry schedules
+ * one re-encode: through the installed hook when a serving pipeline
+ * is attached (async, on the shared ThreadPool), inline otherwise.
+ * runReencode() builds the new encoding from a snapshot and swaps
+ * it in atomically.
  *
  * Ownership/threading contract: all entry points are thread-safe —
- * the name table and each slot are independently locked, and
- * mutations of one matrix serialize on its slot. encoded() returns
+ * the name table and each matrix are independently locked, and
+ * mutations of one matrix serialize on it. encoded() returns
  * shared_ptr snapshots: a reader holds whatever epoch it fetched
  * for as long as it needs (in-flight requests keep computing on the
- * old encoding while a re-encode swaps the slot underneath), and
- * the last holder frees it. The hook is invoked with no slot lock
- * held, but under the registry's hook lock — clearing the hook
- * therefore waits out in-flight invocations, so a scheduler being
- * destroyed (a dying Session's pool) can never be called into after
- * its clearReencodeHook() returns.
+ * old encoding while a re-encode swaps it underneath), and the last
+ * holder frees it. The hook is invoked with no matrix lock held,
+ * but under the registry's hook lock — clearing the hook therefore
+ * waits out in-flight invocations, so a scheduler being destroyed
+ * (a dying Session's pool) can never be called into after its
+ * clearReencodeHook() returns.
  */
 
 #ifndef SMASH_SERVE_REGISTRY_HH
 #define SMASH_SERVE_REGISTRY_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
-#include "engine/matrix_any.hh"
-#include "engine/profile.hh"
+#include "engine/matrix_cell.hh"
 #include "formats/coo_matrix.hh"
 #include "shard/sharded_matrix.hh"
 
 namespace smash::serve
 {
 
-/** When drift re-selection fires (see MatrixRegistry). */
-struct ReselectPolicy
-{
-    bool enabled = true;
-    /** Structural changes since the last baseline, as a fraction of
-     *  the current nnz, before the profile is even re-examined. */
-    double minChangedFraction = 0.05;
-    Index minChanged = 16; //!< absolute floor on that change count
-    /** Hysteresis band on the §7.2.3 boundaries: leaving the
-     *  current format must beat them by this margin. */
-    double margin = 0.1;
-};
-
-/** Snapshot of one registered matrix (for stats and tooling). */
-struct MatrixInfo
-{
-    eng::Format chosen;            //!< current primary format
-    Index rows = 0;
-    Index cols = 0;
-    Index nnz = 0;
-    std::size_t conversions = 0;   //!< encodings built so far
-    std::size_t reselects = 0;     //!< drift-triggered format swaps
-    std::uint64_t epoch = 0;       //!< bumped by every mutation
-    bool reencodePending = false;  //!< a re-encode is scheduled
-    std::vector<eng::Format> cached; //!< formats currently encoded
-    /** Shard count for registerSharded() entries, 0 otherwise. For
-     *  sharded entries `chosen` is shard 0's format and `cached`
-     *  lists the distinct per-shard formats. */
-    Index shards = 0;
-};
-
-/** What one mutation call changed and triggered. */
-struct UpdateOutcome
-{
-    eng::MutationStats stats;       //!< entry-level change counts
-    bool reencodeScheduled = false; //!< this call crossed a boundary
-    /** Format the matrix is headed for: the pending re-encode's
-     *  target, or the current primary when none is pending. */
-    eng::Format target = eng::Format::kCsr;
-};
+/** Snapshot of one registered matrix (eng::MatrixInfo; `shards` is
+ *  0 for put() entries). */
+using MatrixInfo = eng::MatrixInfo;
 
 /** Named-matrix store: cached encodings + drift-aware reselection. */
 class MatrixRegistry
@@ -166,7 +131,7 @@ class MatrixRegistry
 
     /**
      * The primary encoding if (and only if) it is already built —
-     * never converts; returns null on a cold slot. The serving
+     * never converts; returns null when it is not built. The serving
      * pipeline's fast path: a cached matrix skips the async
      * prepare hop entirely, so steady-state requests reach their
      * batcher inline, in submission order.
@@ -179,17 +144,18 @@ class MatrixRegistry
 
     /**
      * Mutation API. Each call applies to the CSR master under the
-     * slot lock, invalidates the cached encodings, updates the
+     * matrix's lock, invalidates the cached encodings, updates the
      * incremental profile, and runs the drift detector; results
      * served afterwards reflect the new content (the next encoded()
      * call rebuilds in the current format).
      */
-    UpdateOutcome applyUpdates(const std::string& name,
-                               fmt::CooMatrix deltas);
-    UpdateOutcome replaceRows(const std::string& name,
-                              const std::vector<Index>& rows,
-                              fmt::CooMatrix replacement);
-    UpdateOutcome scaleValues(const std::string& name, Value factor);
+    eng::UpdateOutcome applyUpdates(const std::string& name,
+                                    fmt::CooMatrix deltas);
+    eng::UpdateOutcome replaceRows(const std::string& name,
+                                   const std::vector<Index>& rows,
+                                   fmt::CooMatrix replacement);
+    eng::UpdateOutcome scaleValues(const std::string& name,
+                                   Value factor);
 
     /** Incrementally maintained structural profile. */
     eng::StructureStats profile(const std::string& name) const;
@@ -223,7 +189,7 @@ class MatrixRegistry
     void clearReencodeHook(const void* owner);
 
     /** Policy for every registered matrix (tunable at runtime). */
-    void setReselectPolicy(const ReselectPolicy& policy);
+    void setReselectPolicy(const eng::ReselectPolicy& policy);
 
     /** Conversions performed so far for @p name. */
     std::size_t conversions(const std::string& name) const;
@@ -234,54 +200,23 @@ class MatrixRegistry
     std::vector<std::string> names() const;
 
   private:
-    struct Slot
-    {
-        fmt::CsrMatrix master;     //!< canonical content, mutable
-        /** Set for registerSharded() entries; the master above then
-         *  stays empty (the shards own the content) and encodings
-         *  in this map are whole-matrix materializations built from
-         *  the concatenated shard slices (the secondary-operand
-         *  path, e.g. SpAdd's CSR view). */
-        std::shared_ptr<shard::ShardedMatrix> sharded;
-        eng::Format chosen;
-        eng::SparseMatrixAny::BuildOptions build;
-        eng::StructureTracker profile;
-        /** Guards everything above and below; held across a
-         *  conversion so racing requests build each encoding
-         *  exactly once, released while a re-encode builds. */
-        mutable std::mutex mutex;
-        std::map<eng::Format, EncodingPtr> encodings;
-        std::size_t conversions = 0;
-        std::size_t reselects = 0;
-        std::uint64_t epoch = 0;
-        bool reencodePending = false;
-        eng::Format pendingTarget = eng::Format::kCsr;
-    };
+    /** A put() entry is one cell; a registerSharded() entry is a
+     *  ShardedMatrix of cells. Both expose the same lifecycle
+     *  members, so every entry point is one visit(). */
+    using Entry = std::variant<std::unique_ptr<eng::MatrixCell>,
+                               std::shared_ptr<shard::ShardedMatrix>>;
 
-    Slot& slot(const std::string& name) const;
-    /** Find-or-build one encoding; s.mutex must be held. */
-    EncodingPtr encodedLocked(Slot& s, eng::Format format);
-    /** Shared put() tail: build and insert one slot (name unused). */
-    eng::Format insertSlot(const std::string& name,
-                           fmt::CsrMatrix master,
-                           eng::StructureTracker profile,
-                           eng::Format format,
-                           const eng::SparseMatrixAny::BuildOptions&
-                               build);
-    /** Shared mutation tail: bump the epoch, drop stale encodings,
-     *  and run the drift detector. Returns whether this call
-     *  scheduled the re-encode — the caller fires it through
-     *  fireReencode() after the slot lock is released. */
-    bool finishMutation(Slot& s, bool structural, UpdateOutcome& out);
-    /** The reselect policy as the shard layer's drift gate. */
-    shard::DriftPolicy shardPolicy() const;
-    /** Shared tail of the sharded mutation paths: fold the shard
-     *  outcome into @p out and invalidate the slot's whole-matrix
-     *  materializations (s.mutex must be held). Returns whether the
-     *  caller must fire the re-encode hook. */
-    bool finishShardedMutation(Slot& s,
-                               const shard::ShardMutationOutcome& so,
-                               UpdateOutcome& out);
+    const Entry& entry(const std::string& name) const;
+    void insert(const std::string& name, Entry entry);
+    /** @p fn applied to @p name's cell or sharded matrix. */
+    template <typename F>
+    decltype(auto)
+    visit(const std::string& name, F&& fn) const
+    {
+        return std::visit([&](const auto& m) { return fn(*m); },
+                          entry(name));
+    }
+    eng::ReselectPolicy policy() const;
     /** Dispatch one scheduled re-encode: through the installed hook
      *  (invoked under hook_mutex_, so clearReencodeHook() blocks
      *  until the invocation finishes — the hook target can never be
@@ -289,7 +224,7 @@ class MatrixRegistry
     void fireReencode(const std::string& name, eng::Format target);
 
     mutable std::mutex mutex_; //!< guards the name table + policy
-    std::unordered_map<std::string, std::unique_ptr<Slot>> slots_;
+    std::unordered_map<std::string, Entry> entries_;
     /** Guards the hook pair below and serializes hook invocation
      *  against install/clear: held while the hook runs, so a
      *  cleared hook has provably finished every invocation when
@@ -297,7 +232,7 @@ class MatrixRegistry
     mutable std::mutex hook_mutex_;
     ReencodeHook hook_;
     const void* hookOwner_ = nullptr;
-    ReselectPolicy policy_;
+    eng::ReselectPolicy policy_;
 };
 
 } // namespace smash::serve

@@ -407,25 +407,6 @@ Session::submit(SpaddRequest req, SpaddCallback done)
            now, expiry, std::move(admitted.ticket), std::move(work));
 }
 
-std::future<std::vector<Value>>
-Session::submit(const std::string& matrix, std::vector<Value> x)
-{
-    // Shim over the typed path: the adapter unwraps the Result,
-    // rethrowing any failure as FatalError (the legacy contract's
-    // only error channel). Launched async, not deferred, so the
-    // returned future keeps the legacy wait_for()/wait_until()
-    // behaviour (a deferred future never reports ready) — one
-    // short-lived thread per call is fine for a deprecated path.
-    return std::async(
-        std::launch::async,
-        [f = submit(SpmvRequest{matrix, std::move(x)})]() mutable {
-            Result<std::vector<Value>> r = f.get();
-            if (!r.ok())
-                throw FatalError(r.status().toString());
-            return std::move(r).value();
-        });
-}
-
 void
 Session::close()
 {
@@ -449,13 +430,13 @@ Session::close()
     }
 }
 
-UpdateOutcome
+eng::UpdateOutcome
 Session::applyUpdates(const std::string& matrix, fmt::CooMatrix deltas)
 {
     return registry_.applyUpdates(matrix, std::move(deltas));
 }
 
-UpdateOutcome
+eng::UpdateOutcome
 Session::replaceRows(const std::string& matrix,
                      const std::vector<Index>& rows,
                      fmt::CooMatrix replacement)
@@ -463,7 +444,7 @@ Session::replaceRows(const std::string& matrix,
     return registry_.replaceRows(matrix, rows, std::move(replacement));
 }
 
-UpdateOutcome
+eng::UpdateOutcome
 Session::scaleValues(const std::string& matrix, Value factor)
 {
     return registry_.scaleValues(matrix, factor);

@@ -160,15 +160,6 @@ class Session
     void submit(SpaddRequest req, SpaddCallback done);
 
     /**
-     * Legacy SpMV entry — a shim over the typed path: statuses
-     * surface as FatalError from future::get() instead of Results.
-     */
-    [[deprecated("use submit(SpmvRequest) and the Result status "
-                 "model")]]
-    std::future<std::vector<Value>>
-    submit(const std::string& matrix, std::vector<Value> x);
-
-    /**
      * Stop admitting: every later (and every blocked) submit
      * resolves to kShuttingDown, then in-flight work drains.
      * Idempotent; the destructor calls it.
@@ -181,12 +172,13 @@ class Session
      * Safe to call while requests are in flight — they finish on
      * the encoding epoch they already hold.
      */
-    UpdateOutcome applyUpdates(const std::string& matrix,
-                               fmt::CooMatrix deltas);
-    UpdateOutcome replaceRows(const std::string& matrix,
-                              const std::vector<Index>& rows,
-                              fmt::CooMatrix replacement);
-    UpdateOutcome scaleValues(const std::string& matrix, Value factor);
+    eng::UpdateOutcome applyUpdates(const std::string& matrix,
+                                    fmt::CooMatrix deltas);
+    eng::UpdateOutcome replaceRows(const std::string& matrix,
+                                   const std::vector<Index>& rows,
+                                   fmt::CooMatrix replacement);
+    eng::UpdateOutcome scaleValues(const std::string& matrix,
+                                   Value factor);
 
     /** Flush partial batches and wait for every in-flight request. */
     void drain();

@@ -1,7 +1,8 @@
 #include "shard/sharded_matrix.hh"
 
 #include <algorithm>
-#include <functional>
+#include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -25,33 +26,30 @@ namespace
 {
 
 /**
- * Run @p fn on a fresh thread whose affinity is set (best-effort)
- * to @p cpus first, so every page @p fn faults in is first-touched
- * on those CPUs' node. A restricted cpuset may reject the mask; the
- * build then runs wherever the scheduler puts it — placement is an
- * optimization, never a correctness requirement.
+ * Pin the calling thread (best-effort) to @p cpus, so every page it
+ * faults in afterwards is first-touched on those CPUs' node. A
+ * restricted cpuset may reject the mask; the thread then runs
+ * wherever the scheduler puts it — placement is an optimization,
+ * never a correctness requirement.
  */
 void
-runFirstTouch(const std::vector<int>& cpus,
-              const std::function<void()>& fn)
+pinToCpus(const std::vector<int>& cpus)
 {
-    std::thread th([&] {
 #if defined(__linux__)
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        bool any = false;
-        for (int c : cpus) {
-            if (c >= 0 && c < CPU_SETSIZE) {
-                CPU_SET(c, &set);
-                any = true;
-            }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    bool any = false;
+    for (int c : cpus) {
+        if (c >= 0 && c < CPU_SETSIZE) {
+            CPU_SET(c, &set);
+            any = true;
         }
-        if (any)
-            pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+    }
+    if (any)
+        pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+#else
+    (void)cpus;
 #endif
-        fn();
-    });
-    th.join();
 }
 
 /** The CSR slice for global rows [rb, re): rows re-indexed from 0,
@@ -76,12 +74,18 @@ sliceCsr(const fmt::CsrMatrix& m, Index rb, Index re)
                                    std::move(values));
 }
 
+/** Fold one cell's outcome into a whole call's: counts add up, and
+ *  the first newly scheduled shard's target leads. */
 void
-accumulate(eng::MutationStats& into, const eng::MutationStats& st)
+merge(eng::UpdateOutcome& into, const eng::UpdateOutcome& part)
 {
-    into.inserted += st.inserted;
-    into.removed += st.removed;
-    into.updated += st.updated;
+    into.stats.inserted += part.stats.inserted;
+    into.stats.removed += part.stats.removed;
+    into.stats.updated += part.stats.updated;
+    if (part.reencodeScheduled && !into.reencodeScheduled) {
+        into.reencodeScheduled = true;
+        into.target = part.target;
+    }
 }
 
 obs::Counter&
@@ -125,53 +129,57 @@ ShardedMatrix::ShardedMatrix(std::string name,
     }
 
     const sys::NumaTopology& topo = sys::NumaTopology::probe();
-    shards_.reserve(static_cast<std::size_t>(k));
+    shards_.resize(static_cast<std::size_t>(k));
     for (Index i = 0; i < k; ++i) {
-        auto sh = std::make_unique<Shard>();
-        sh->rowBegin = cuts_[static_cast<std::size_t>(i)];
-        sh->rowEnd = cuts_[static_cast<std::size_t>(i) + 1];
-        sh->node = topo.shardNode(static_cast<int>(i));
-        sh->cpus = topo.shardCpus(static_cast<int>(i),
-                                  static_cast<int>(k));
-        shards_.push_back(std::move(sh));
+        Shard& sh = shards_[static_cast<std::size_t>(i)];
+        sh.rowBegin = cuts_[static_cast<std::size_t>(i)];
+        sh.rowEnd = cuts_[static_cast<std::size_t>(i) + 1];
+        sh.node = topo.shardNode(static_cast<int>(i));
+        sh.cpus = topo.shardCpus(static_cast<int>(i),
+                                 static_cast<int>(k));
     }
 
-    // Build every shard's arrays on a thread pinned to its CPU
-    // subset so the slice, the profile, and the initial encoding
-    // are first-touched on the shard's node.
+    // One builder per shard pins itself to the shard's CPU subset
+    // before it allocates, so the slice, the profile, and the
+    // initial encoding are first-touched on the shard's node. A
+    // failed build is rethrown here, after every builder joined.
+    std::vector<std::exception_ptr> failures(shards_.size());
     std::vector<std::thread> builders;
     builders.reserve(shards_.size());
     for (Index i = 0; i < k; ++i) {
-        builders.emplace_back([this, i, &master] {
-            Shard& sh = *shards_[static_cast<std::size_t>(i)];
-            runFirstTouch(sh.cpus, [this, &sh, &master] {
-                sh.master = sliceCsr(master, sh.rowBegin,
-                                     sh.rowEnd);
-                sh.profile = eng::StructureTracker(sh.master);
-                sh.chosen = eng::chooseFormat(sh.profile.stats());
-                sh.pendingTarget = sh.chosen;
-                sh.encoding =
-                    std::make_shared<const eng::SparseMatrixAny>(
-                        eng::SparseMatrixAny::fromCsr(
-                            sh.master, sh.chosen, build_));
-                ++sh.conversions;
-            });
-            setFormatGauge(i,
-                           shards_[static_cast<std::size_t>(i)]->chosen);
+        builders.emplace_back([this, i, &master, &failures] {
+            Shard& sh = shards_[static_cast<std::size_t>(i)];
+            pinToCpus(sh.cpus);
+            try {
+                fmt::CsrMatrix slice =
+                    sliceCsr(master, sh.rowBegin, sh.rowEnd);
+                eng::StructureTracker profile(slice);
+                const eng::Format chosen =
+                    eng::chooseFormat(profile.stats());
+                sh.cell = std::make_unique<eng::MatrixCell>(
+                    std::move(slice), std::move(profile), chosen,
+                    build_);
+                sh.cell->encoded();
+                setFormatGauge(i, chosen);
+            } catch (...) {
+                failures[static_cast<std::size_t>(i)] =
+                    std::current_exception();
+            }
         });
     }
     for (std::thread& t : builders)
         t.join();
+    for (const std::exception_ptr& failure : failures)
+        if (failure)
+            std::rethrow_exception(failure);
 }
 
 Index
 ShardedMatrix::nnz() const
 {
     Index n = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        n += sh->master.nnz();
-    }
+    for (Index i = 0; i < shardCount(); ++i)
+        n += cell(i).nnz();
     return n;
 }
 
@@ -188,19 +196,13 @@ ShardedMatrix::shardOfRow(Index row) const
 ShardInfo
 ShardedMatrix::shardInfo(Index shard) const
 {
-    const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-    std::lock_guard<std::mutex> lock(sh.mutex);
+    const Shard& sh = shards_[static_cast<std::size_t>(shard)];
     ShardInfo out;
+    static_cast<eng::MatrixInfo&>(out) = sh.cell->info();
     out.rowBegin = sh.rowBegin;
     out.rowEnd = sh.rowEnd;
-    out.nnz = sh.master.nnz();
-    out.chosen = sh.chosen;
     out.node = sh.node;
     out.cpus = sh.cpus;
-    out.epoch = sh.epoch;
-    out.conversions = sh.conversions;
-    out.reselects = sh.reselects;
-    out.reencodePending = sh.reencodePending;
     return out;
 }
 
@@ -209,108 +211,64 @@ ShardedMatrix::shardFormats() const
 {
     std::vector<eng::Format> out;
     out.reserve(shards_.size());
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        out.push_back(sh->chosen);
-    }
+    for (Index i = 0; i < shardCount(); ++i)
+        out.push_back(cell(i).format());
     return out;
 }
 
 eng::Format
 ShardedMatrix::primaryFormat() const
 {
-    const Shard& sh = *shards_.front();
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    return sh.chosen;
+    return cell(0).format();
 }
 
 eng::StructureStats
 ShardedMatrix::profile(Index shard) const
 {
-    const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    return sh.profile.stats();
+    return cell(shard).profile();
 }
 
-std::uint64_t
-ShardedMatrix::epoch() const
+eng::MatrixInfo
+ShardedMatrix::info() const
 {
-    std::uint64_t e = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        e += sh->epoch;
+    eng::MatrixInfo out;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        out.conversions = materializations_;
+        out.epoch = epoch_;
     }
-    return e;
-}
-
-std::size_t
-ShardedMatrix::conversions() const
-{
-    std::size_t n = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        n += sh->conversions;
+    out.rows = rows_;
+    out.cols = cols_;
+    out.shards = shardCount();
+    for (Index i = 0; i < shardCount(); ++i) {
+        const eng::MatrixInfo c = cell(i).info();
+        out.nnz += c.nnz;
+        out.conversions += c.conversions;
+        out.reselects += c.reselects;
+        out.reencodePending = out.reencodePending || c.reencodePending;
+        out.cached.push_back(c.chosen);
     }
-    return n;
-}
-
-std::size_t
-ShardedMatrix::reselects() const
-{
-    std::size_t n = 0;
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        n += sh->reselects;
-    }
-    return n;
-}
-
-bool
-ShardedMatrix::reencodePending() const
-{
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        if (sh->reencodePending)
-            return true;
-    }
-    return false;
-}
-
-ShardedMatrix::EncodingPtr
-ShardedMatrix::encodedLocked(Shard& sh) const
-{
-    if (!sh.encoding) {
-        sh.encoding = std::make_shared<const eng::SparseMatrixAny>(
-            eng::SparseMatrixAny::fromCsr(sh.master, sh.chosen,
-                                          build_));
-        ++sh.conversions;
-    }
-    return sh.encoding;
-}
-
-ShardedMatrix::EncodingPtr
-ShardedMatrix::grabEncoding(Index shard) const
-{
-    Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    return encodedLocked(sh);
+    out.chosen = out.cached.front();
+    // The distinct formats currently live across the shards.
+    std::sort(out.cached.begin(), out.cached.end());
+    out.cached.erase(std::unique(out.cached.begin(), out.cached.end()),
+                     out.cached.end());
+    return out;
 }
 
 void
 ShardedMatrix::ensureEncoded()
 {
     for (Index i = 0; i < shardCount(); ++i)
-        grabEncoding(i);
+        cell(i).encoded();
 }
 
 bool
 ShardedMatrix::allEncoded() const
 {
-    for (const auto& sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mutex);
-        if (!sh->encoding)
+    for (Index i = 0; i < shardCount(); ++i)
+        if (!cell(i).encodedIfCached())
             return false;
-    }
     return true;
 }
 
@@ -346,8 +304,8 @@ ShardedMatrix::spmv(const std::vector<Value>& x,
     const std::uint64_t t0 =
         obs::traceEnabled() ? obs::traceNowNs() : 0;
     forEachShard(pool, [&](Index i) {
-        const Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        const EncodingPtr enc = grabEncoding(i);
+        const Shard& sh = shards_[static_cast<std::size_t>(i)];
+        const EncodingPtr enc = cell(i).encoded();
         const Index n = sh.rowEnd - sh.rowBegin;
         // The shard's slice of y, computed locally so the engine's
         // y-accumulate convention stays intact, then gathered into
@@ -382,8 +340,8 @@ ShardedMatrix::spmvBatch(const fmt::DenseMatrix& x,
         obs::traceEnabled() ? obs::traceNowNs() : 0;
     const Index nrhs = x.cols();
     forEachShard(pool, [&](Index i) {
-        const Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        const EncodingPtr enc = grabEncoding(i);
+        const Shard& sh = shards_[static_cast<std::size_t>(i)];
+        const EncodingPtr enc = cell(i).encoded();
         const Index n = sh.rowEnd - sh.rowBegin;
         fmt::DenseMatrix local(n, nrhs);
         sim::NativeExec ne;
@@ -415,57 +373,58 @@ ShardedMatrix::spadd(const fmt::CsrMatrix& other,
     std::vector<fmt::CooMatrix> parts(
         static_cast<std::size_t>(shardCount()));
     forEachShard(pool, [&](Index i) {
-        const Shard& sh = *shards_[static_cast<std::size_t>(i)];
+        const Shard& sh = shards_[static_cast<std::size_t>(i)];
         fmt::CooMatrix part(rows_, cols_);
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        // Two-pointer merge of the shard's local rows against the
-        // matching global rows of `other` — the same merge (same
-        // order, same sums, same zero-cancellation rule) as
-        // kern::spaddCsrRange, emitting global row indices.
-        const auto& arp = sh.master.rowPtr();
-        const auto& aci = sh.master.colInd();
-        const auto& av = sh.master.values();
-        const auto& brp = other.rowPtr();
-        const auto& bci = other.colInd();
-        const auto& bv = other.values();
-        const fmt::CsrIndex sentinel =
-            static_cast<fmt::CsrIndex>(cols_);
-        for (Index lr = 0; lr < sh.rowEnd - sh.rowBegin; ++lr) {
-            const Index gr = sh.rowBegin + lr;
-            fmt::CsrIndex ka = arp[static_cast<std::size_t>(lr)];
-            fmt::CsrIndex kb = brp[static_cast<std::size_t>(gr)];
-            const fmt::CsrIndex aEnd =
-                arp[static_cast<std::size_t>(lr) + 1];
-            const fmt::CsrIndex bEnd =
-                brp[static_cast<std::size_t>(gr) + 1];
-            while (ka < aEnd || kb < bEnd) {
-                const fmt::CsrIndex ca =
-                    ka < aEnd ? aci[static_cast<std::size_t>(ka)]
-                              : sentinel;
-                const fmt::CsrIndex cb =
-                    kb < bEnd ? bci[static_cast<std::size_t>(kb)]
-                              : sentinel;
-                Value v;
-                Index col;
-                if (ca == cb) {
-                    v = av[static_cast<std::size_t>(ka)] +
-                        bv[static_cast<std::size_t>(kb)];
-                    col = ca;
-                    ++ka;
-                    ++kb;
-                } else if (ca < cb) {
-                    v = av[static_cast<std::size_t>(ka)];
-                    col = ca;
-                    ++ka;
-                } else {
-                    v = bv[static_cast<std::size_t>(kb)];
-                    col = cb;
-                    ++kb;
+        cell(i).withMaster([&](const fmt::CsrMatrix& a) {
+            // Two-pointer merge of the shard's local rows against
+            // the matching global rows of `other` — the same merge
+            // (same order, same sums, same zero-cancellation rule)
+            // as kern::spaddCsrRange, emitting global row indices.
+            const auto& arp = a.rowPtr();
+            const auto& aci = a.colInd();
+            const auto& av = a.values();
+            const auto& brp = other.rowPtr();
+            const auto& bci = other.colInd();
+            const auto& bv = other.values();
+            const fmt::CsrIndex sentinel =
+                static_cast<fmt::CsrIndex>(cols_);
+            for (Index lr = 0; lr < sh.rowEnd - sh.rowBegin; ++lr) {
+                const Index gr = sh.rowBegin + lr;
+                fmt::CsrIndex ka = arp[static_cast<std::size_t>(lr)];
+                fmt::CsrIndex kb = brp[static_cast<std::size_t>(gr)];
+                const fmt::CsrIndex aEnd =
+                    arp[static_cast<std::size_t>(lr) + 1];
+                const fmt::CsrIndex bEnd =
+                    brp[static_cast<std::size_t>(gr) + 1];
+                while (ka < aEnd || kb < bEnd) {
+                    const fmt::CsrIndex ca =
+                        ka < aEnd ? aci[static_cast<std::size_t>(ka)]
+                                  : sentinel;
+                    const fmt::CsrIndex cb =
+                        kb < bEnd ? bci[static_cast<std::size_t>(kb)]
+                                  : sentinel;
+                    Value v;
+                    Index col;
+                    if (ca == cb) {
+                        v = av[static_cast<std::size_t>(ka)] +
+                            bv[static_cast<std::size_t>(kb)];
+                        col = ca;
+                        ++ka;
+                        ++kb;
+                    } else if (ca < cb) {
+                        v = av[static_cast<std::size_t>(ka)];
+                        col = ca;
+                        ++ka;
+                    } else {
+                        v = bv[static_cast<std::size_t>(kb)];
+                        col = cb;
+                        ++kb;
+                    }
+                    if (v != Value(0))
+                        part.add(gr, col, v);
                 }
-                if (v != Value(0))
-                    part.add(gr, col, v);
             }
-        }
+        });
         parts[static_cast<std::size_t>(i)] = std::move(part);
     });
     // Shards hold disjoint ascending row bands, so concatenating in
@@ -487,169 +446,138 @@ ShardedMatrix::toCsr() const
     std::vector<Value> values;
     rowPtr.reserve(static_cast<std::size_t>(rows_) + 1);
     rowPtr.push_back(0);
-    for (const auto& shp : shards_) {
-        const Shard& sh = *shp;
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        const auto& rp = sh.master.rowPtr();
-        const fmt::CsrIndex base = rowPtr.back();
-        for (std::size_t r = 1; r < rp.size(); ++r)
-            rowPtr.push_back(base + rp[r]);
-        colInd.insert(colInd.end(), sh.master.colInd().begin(),
-                      sh.master.colInd().end());
-        values.insert(values.end(), sh.master.values().begin(),
-                      sh.master.values().end());
+    for (Index i = 0; i < shardCount(); ++i) {
+        cell(i).withMaster([&](const fmt::CsrMatrix& m) {
+            const auto& rp = m.rowPtr();
+            const fmt::CsrIndex base = rowPtr.back();
+            for (std::size_t r = 1; r < rp.size(); ++r)
+                rowPtr.push_back(base + rp[r]);
+            colInd.insert(colInd.end(), m.colInd().begin(),
+                          m.colInd().end());
+            values.insert(values.end(), m.values().begin(),
+                          m.values().end());
+        });
     }
     return fmt::CsrMatrix::fromRaw(rows_, cols_, std::move(rowPtr),
                                    std::move(colInd),
                                    std::move(values));
 }
 
-void
-ShardedMatrix::finishShardMutation(Index shard, Shard& sh,
-                                   const eng::MutationStats& stats,
-                                   const DriftPolicy& policy,
-                                   ShardMutationOutcome& out)
+ShardedMatrix::EncodingPtr
+ShardedMatrix::encodedAs(eng::Format format)
 {
-    if (stats.inserted + stats.removed + stats.updated == 0)
-        return;
-    ++sh.epoch;
-    sh.encoding.reset();
-    if (stats.structural() == 0 || !policy.enabled ||
-        sh.reencodePending)
-        return;
-    // Same gate as the registry's whole-matrix drift detector, but
-    // against the shard's own churn and nnz — a band can cross a
-    // boundary long before the whole matrix would.
-    const Index changed = sh.profile.changedSinceRebase();
-    const Index need = std::max(
-        policy.minChanged,
-        static_cast<Index>(policy.minChangedFraction *
-                           static_cast<double>(std::max<Index>(
-                               1, sh.profile.nnz()))));
-    if (changed < need)
-        return;
-    const eng::Format target = eng::chooseFormatSticky(
-        sh.profile.stats(), sh.chosen, policy.margin);
-    if (target == sh.chosen) {
-        sh.profile.rebase();
-        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = materialized_.find(format);
+    if (it == materialized_.end()) {
+        it = materialized_
+                 .emplace(format,
+                          std::make_shared<const eng::SparseMatrixAny>(
+                              eng::SparseMatrixAny::fromCsr(
+                                  toCsr(), format, build_)))
+                 .first;
+        ++materializations_;
     }
-    sh.reencodePending = true;
-    sh.pendingTarget = target;
-    if (!out.reencodeScheduled) {
-        out.reencodeScheduled = true;
-        out.target = target;
-    }
-    (void)shard;
+    return it->second;
 }
 
-ShardMutationOutcome
+ShardedMatrix::EncodingPtr
+ShardedMatrix::encodedAsIfCached(eng::Format format) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = materialized_.find(format);
+    return it != materialized_.end() ? it->second : nullptr;
+}
+
+eng::UpdateOutcome
+ShardedMatrix::finish(eng::UpdateOutcome out)
+{
+    if (out.stats.inserted + out.stats.removed + out.stats.updated >
+        0) {
+        // The cells dropped their own encodings; the whole-matrix
+        // materializations are stale too.
+        ++epoch_;
+        materialized_.clear();
+    }
+    if (!out.reencodeScheduled)
+        out.target = primaryFormat();
+    return out;
+}
+
+std::vector<fmt::CooMatrix>
+ShardedMatrix::splitByBand(const fmt::CooMatrix& coo) const
+{
+    std::vector<fmt::CooMatrix> parts;
+    parts.reserve(shards_.size());
+    // Canonical entries are row-sorted, so each band's share is one
+    // contiguous run; rebase its rows to band-local.
+    const auto& es = coo.entries();
+    std::size_t next = 0;
+    for (const Shard& sh : shards_) {
+        fmt::CooMatrix& part =
+            parts.emplace_back(sh.rowEnd - sh.rowBegin, cols_);
+        for (; next < es.size() && es[next].row < sh.rowEnd; ++next)
+            part.add(es[next].row - sh.rowBegin, es[next].col,
+                     es[next].value);
+        part.canonicalize();
+    }
+    return parts;
+}
+
+eng::UpdateOutcome
 ShardedMatrix::applyUpdates(const fmt::CooMatrix& deltas,
-                            const DriftPolicy& policy)
+                            const eng::ReselectPolicy& policy)
 {
     SMASH_CHECK(deltas.isCanonical(),
                 "deltas must be canonical");
     SMASH_CHECK(deltas.rows() == rows_ && deltas.cols() == cols_,
                 "delta shape differs");
-    ShardMutationOutcome out;
-    const auto& es = deltas.entries();
-    std::size_t i = 0;
-    while (i < es.size()) {
-        const Index k = shardOfRow(es[i].row);
-        Shard& sh = *shards_[static_cast<std::size_t>(k)];
-        const Index bandEnd = cuts_[static_cast<std::size_t>(k) + 1];
-        // Canonical deltas are row-sorted, so each shard's share is
-        // one contiguous run; rebase its rows to shard-local.
-        fmt::CooMatrix local(sh.rowEnd - sh.rowBegin, cols_);
-        std::size_t j = i;
-        while (j < es.size() && es[j].row < bandEnd) {
-            local.add(es[j].row - sh.rowBegin, es[j].col,
-                      es[j].value);
-            ++j;
-        }
-        local.canonicalize();
-        {
-            std::lock_guard<std::mutex> lock(sh.mutex);
-            eng::StructureTracker& tracker = sh.profile;
-            const eng::MutationStats st = eng::applyUpdates(
-                sh.master, local,
-                [&tracker](Index r, Index c, bool inserted) {
-                    tracker.onStructureChange(r, c, inserted);
-                });
-            accumulate(out.stats, st);
-            finishShardMutation(k, sh, st, policy, out);
-        }
-        i = j;
+    const std::vector<fmt::CooMatrix> parts = splitByBand(deltas);
+    std::lock_guard<std::mutex> lock(mutex_);
+    eng::UpdateOutcome out;
+    for (Index i = 0; i < shardCount(); ++i) {
+        const fmt::CooMatrix& part = parts[static_cast<std::size_t>(i)];
+        if (part.nnz() > 0)
+            merge(out, cell(i).applyUpdates(part, policy));
     }
-    return out;
+    return finish(out);
 }
 
-ShardMutationOutcome
+eng::UpdateOutcome
 ShardedMatrix::replaceRows(const std::vector<Index>& rows,
                            const fmt::CooMatrix& replacement,
-                           const DriftPolicy& policy)
+                           const eng::ReselectPolicy& policy)
 {
-    SMASH_CHECK(replacement.isCanonical(),
-                "replacement must be canonical");
-    ShardMutationOutcome out;
-    const Index k = shardCount();
-    std::vector<std::vector<Index>> rowsByShard(
-        static_cast<std::size_t>(k));
-    for (Index r : rows)
-        rowsByShard[static_cast<std::size_t>(shardOfRow(r))]
-            .push_back(r);
-    const auto& es = replacement.entries();
-    std::size_t next = 0;
-    for (Index i = 0; i < k; ++i) {
-        auto& local_rows = rowsByShard[static_cast<std::size_t>(i)];
-        Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        // Replacement entries are row-sorted; consume this band's
-        // contiguous run (every entry names a listed row, so a band
-        // with entries always has listed rows too).
-        fmt::CooMatrix local(sh.rowEnd - sh.rowBegin, cols_);
-        while (next < es.size() &&
-               es[next].row < cuts_[static_cast<std::size_t>(i) + 1]) {
-            local.add(es[next].row - sh.rowBegin, es[next].col,
-                      es[next].value);
-            ++next;
-        }
-        if (local_rows.empty()) {
-            SMASH_CHECK(local.nnz() == 0,
-                        "replacement entry names an unlisted row");
-            continue;
-        }
-        for (Index& r : local_rows)
-            r -= sh.rowBegin;
-        local.canonicalize();
-        {
-            std::lock_guard<std::mutex> lock(sh.mutex);
-            eng::StructureTracker& tracker = sh.profile;
-            const eng::MutationStats st = eng::replaceRows(
-                sh.master, local_rows, local,
-                [&tracker](Index r, Index c, bool inserted) {
-                    tracker.onStructureChange(r, c, inserted);
-                });
-            accumulate(out.stats, st);
-            finishShardMutation(i, sh, st, policy, out);
-        }
+    // The whole call is checked before any band changes: the check
+    // eng::replaceRows makes per band, made once against the whole
+    // matrix, so a bad call cannot leave earlier bands rewritten.
+    eng::checkReplaceRows(rows_, cols_, rows, replacement);
+    std::vector<std::vector<Index>> rowsByShard(shards_.size());
+    for (Index r : rows) {
+        const auto k = static_cast<std::size_t>(shardOfRow(r));
+        rowsByShard[k].push_back(r - shards_[k].rowBegin);
     }
-    return out;
+    // Every entry names a listed row, so a band without listed rows
+    // has no entries.
+    const std::vector<fmt::CooMatrix> parts = splitByBand(replacement);
+    std::lock_guard<std::mutex> lock(mutex_);
+    eng::UpdateOutcome out;
+    for (Index i = 0; i < shardCount(); ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        if (!rowsByShard[k].empty())
+            merge(out,
+                  cell(i).replaceRows(rowsByShard[k], parts[k], policy));
+    }
+    return finish(out);
 }
 
-ShardMutationOutcome
+eng::UpdateOutcome
 ShardedMatrix::scaleValues(Value factor)
 {
-    ShardMutationOutcome out;
-    const DriftPolicy off{false, 0, 0, 0};
-    for (Index i = 0; i < shardCount(); ++i) {
-        Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        const eng::MutationStats st =
-            eng::scaleValues(sh.master, factor);
-        accumulate(out.stats, st);
-        finishShardMutation(i, sh, st, off, out);
-    }
-    return out;
+    std::lock_guard<std::mutex> lock(mutex_);
+    eng::UpdateOutcome out;
+    for (Index i = 0; i < shardCount(); ++i)
+        merge(out, cell(i).scaleValues(factor));
+    return finish(out);
 }
 
 void
@@ -661,58 +589,19 @@ ShardedMatrix::setFormatGauge(Index shard, eng::Format format) const
         .set(static_cast<std::int64_t>(format));
 }
 
-int
-ShardedMatrix::runPendingReencodes()
+void
+ShardedMatrix::runReencode()
 {
-    int swapped = 0;
     for (Index i = 0; i < shardCount(); ++i) {
-        Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        bool done = false;
-        // Same snapshot / build-unlocked / epoch-checked-swap loop
-        // as the registry's whole-matrix runReencode(), per shard.
-        for (int attempt = 0; attempt < 4 && !done; ++attempt) {
-            fmt::CsrMatrix snapshot;
-            eng::Format target;
-            std::uint64_t epoch;
-            {
-                std::lock_guard<std::mutex> lock(sh.mutex);
-                if (!sh.reencodePending) {
-                    done = true;
-                    break;
-                }
-                snapshot = sh.master;
-                target = sh.pendingTarget;
-                epoch = sh.epoch;
-            }
-            auto built =
-                std::make_shared<const eng::SparseMatrixAny>(
-                    eng::SparseMatrixAny::fromCsr(snapshot, target,
-                                                  build_));
-            {
-                std::lock_guard<std::mutex> lock(sh.mutex);
-                if (sh.epoch != epoch)
-                    continue; // a mutation landed: rebuild
-                sh.chosen = target;
-                sh.encoding = std::move(built);
-                ++sh.conversions;
-                ++sh.reselects;
-                sh.reencodePending = false;
-                sh.profile.rebase();
-                done = true;
-                ++swapped;
-            }
-            shardReencodeCounter(i).inc();
-            setFormatGauge(i, target);
-            SMASH_TRACE_EVENT(obs::EventKind::kShardReencode,
-                              static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(target));
-        }
-        if (!done) {
-            std::lock_guard<std::mutex> lock(sh.mutex);
-            sh.reencodePending = false;
-        }
+        const std::optional<eng::Format> target = cell(i).runReencode();
+        if (!target)
+            continue;
+        shardReencodeCounter(i).inc();
+        setFormatGauge(i, *target);
+        SMASH_TRACE_EVENT(obs::EventKind::kShardReencode,
+                          static_cast<std::uint32_t>(i),
+                          static_cast<std::uint32_t>(*target));
     }
-    return swapped;
 }
 
 } // namespace smash::shard

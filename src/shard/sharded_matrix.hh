@@ -3,16 +3,16 @@
  * ShardedMatrix: one logical matrix row-partitioned into K
  * independent sub-matrices.
  *
- * Each shard owns a full per-matrix stack of its own — a CSR master
- * slice (rows re-indexed to the shard, columns global), an
- * incremental StructureTracker, a §7.2.3 format decision with
- * chooseFormatSticky hysteresis, an encoded SparseMatrixAny (whose
- * embedded PlanCache is therefore per-shard), an epoch counter, and
- * a CPU subset derived from the NUMA topology probe
- * (common/numa_topology.hh). A drifting matrix whose bands diverge
- * structurally — dense diagonals in one row band, scattered bits in
- * another — re-selects and re-encodes *per band* instead of
- * whole-matrix.
+ * Each shard is one eng::MatrixCell — the same lifecycle a put()
+ * matrix gets: a CSR master slice (rows re-indexed to the shard,
+ * columns global), an incremental StructureTracker, a §7.2.3 format
+ * decision with chooseFormatSticky hysteresis, its encodings (whose
+ * embedded PlanCaches are therefore per-shard), an epoch and the
+ * drift re-encode — plus its row band and a CPU subset derived from
+ * the NUMA topology probe (common/numa_topology.hh). A drifting
+ * matrix whose bands diverge structurally — dense diagonals in one
+ * row band, scattered bits in another — re-selects and re-encodes
+ * *per band* instead of whole-matrix.
  *
  * Partitioning is nnz-balanced: cut points are chosen on the CSR
  * row-pointer prefix sums so every shard carries ~nnz/K entries
@@ -23,22 +23,26 @@
  * of K, of the per-shard format choices, or of the thread count.
  *
  * NUMA placement: shard k maps to node (k mod nodes) and its CPU
- * subset; the shard's arrays are built (first-touched) on a thread
- * pinned to that subset. On a 1-node host the subsets degrade to a
+ * subset; the shard's arrays are built (first-touched) by a thread
+ * that pins itself to that subset. On a 1-node host the subsets degrade to a
  * round-robin split of the flat CPU list and placement is a no-op
  * by construction. Compute-time locality is approximate: the
  * scatter runs one pool chunk per shard, and the pool's sticky
  * chunk claiming + node-major worker pinning keep shard k on the
  * same worker (hence node) across requests.
  *
- * Threading: all entry points are thread-safe. Each shard has its
- * own mutex guarding its master/tracker/encoding; compute paths
- * grab the encoding shared_ptr and run unlocked (readers finish on
- * the epoch they hold while a re-encode swaps underneath, exactly
- * like serve::MatrixRegistry). Mutations lock only the shards their
- * deltas touch. Whole-matrix consistency (a mutation racing a
- * concat snapshot) is the caller's affair — serve::MatrixRegistry
- * serializes those on its slot lock.
+ * Some ops need the matrix as one operand (SpAdd's secondary, a
+ * whole-matrix view in one format): encodedAs() builds such a
+ * materialization from the concatenated slices and caches it until
+ * the next mutation.
+ *
+ * Threading: all entry points are thread-safe. Each cell locks
+ * itself; compute paths grab the shard encodings' shared_ptrs and
+ * run unlocked (readers finish on the epoch they hold while a
+ * re-encode swaps underneath). Mutations and materializations
+ * serialize on the matrix's own lock, so a materialization never
+ * mixes two mutations' content; a mutation is validated in full
+ * before any cell changes, so a rejected call changes nothing.
  */
 
 #ifndef SMASH_SHARD_SHARDED_MATRIX_HH
@@ -46,14 +50,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "engine/matrix_any.hh"
-#include "engine/mutate.hh"
-#include "engine/profile.hh"
+#include "engine/matrix_cell.hh"
 #include "formats/coo_matrix.hh"
 #include "formats/csr_matrix.hh"
 #include "formats/dense_matrix.hh"
@@ -66,50 +69,26 @@ class ThreadPool;
 namespace smash::shard
 {
 
-/** Per-shard drift re-selection gate (mirrors serve::ReselectPolicy;
- *  duplicated here so shard/ does not depend on serve/). */
-struct DriftPolicy
-{
-    bool enabled = true;
-    double minChangedFraction = 0.05;
-    Index minChanged = 16;
-    double margin = 0.1;
-};
-
-/** Snapshot of one shard (stats, tests, tooling). */
-struct ShardInfo
+/** Snapshot of one shard (stats, tests, tooling): its cell's
+ *  lifecycle counters plus its placement. */
+struct ShardInfo : eng::MatrixInfo
 {
     Index rowBegin = 0;   //!< global first row (inclusive)
     Index rowEnd = 0;     //!< global last row (exclusive)
-    Index nnz = 0;
-    eng::Format chosen = eng::Format::kCsr;
     int node = 0;              //!< NUMA node the shard maps to
     std::vector<int> cpus;     //!< CPU subset used for first-touch
-    std::uint64_t epoch = 0;   //!< bumped by every mutation landing here
-    std::size_t conversions = 0;
-    std::size_t reselects = 0;
-    bool reencodePending = false;
-};
-
-/** Aggregated result of a mutation routed across shards. */
-struct ShardMutationOutcome
-{
-    eng::MutationStats stats;       //!< summed over touched shards
-    bool reencodeScheduled = false; //!< >= 1 shard crossed a boundary
-    /** First newly-scheduled shard's target (kCsr when none). */
-    eng::Format target = eng::Format::kCsr;
 };
 
 class ShardedMatrix
 {
   public:
     using BuildOptions = eng::SparseMatrixAny::BuildOptions;
-    using EncodingPtr = std::shared_ptr<const eng::SparseMatrixAny>;
+    using EncodingPtr = eng::MatrixCell::EncodingPtr;
 
     /**
      * Partition @p master into @p shards nnz-balanced row bands
-     * (clamped to [1, rows]) and build each band's master slice,
-     * profile, format choice, and initial encoding on a thread
+     * (clamped to [1, rows]) and build each band's cell — slice,
+     * profile, format choice, and initial encoding — on a thread
      * pinned to the band's NUMA CPU subset (first-touch). @p name
      * labels the per-shard metrics.
      */
@@ -119,7 +98,6 @@ class ShardedMatrix
     ShardedMatrix(const ShardedMatrix&) = delete;
     ShardedMatrix& operator=(const ShardedMatrix&) = delete;
 
-    const std::string& name() const { return name_; }
     Index rows() const { return rows_; }
     Index cols() const { return cols_; }
     Index nnz() const;
@@ -134,15 +112,19 @@ class ShardedMatrix
     ShardInfo shardInfo(Index shard) const;
     /** Every shard's current format, in shard order. */
     std::vector<eng::Format> shardFormats() const;
-    /** Shard 0's format (the registry's "primary" for info()). */
+    /** Shard 0's format (the registry's "primary"). */
     eng::Format primaryFormat() const;
-    /** Shard @p shard's incremental §7.2.3 profile. */
-    eng::StructureStats profile(Index shard) const;
-
-    std::uint64_t epoch() const;      //!< summed shard epochs
-    std::size_t conversions() const;  //!< summed over shards
-    std::size_t reselects() const;    //!< summed over shards
-    bool reencodePending() const;     //!< any shard pending
+    eng::Format format() const { return primaryFormat(); }
+    /** Shard @p shard's incremental §7.2.3 profile (shard 0 stands
+     *  in for the whole matrix). */
+    eng::StructureStats profile(Index shard = 0) const;
+    /**
+     * Whole-matrix lifecycle: conversions and reselects summed over
+     * the cells (conversions also count materializations), epoch
+     * bumped by every mutation call that changed something, pending
+     * when any cell is, `cached` the distinct shard formats.
+     */
+    eng::MatrixInfo info() const;
 
     /** Build any missing shard encoding (first touch converts). */
     void ensureEncoded();
@@ -183,34 +165,45 @@ class ShardedMatrix
      * The whole-matrix CSR master, concatenated from the shard
      * slices. Row partitioning preserves entry order, so this is
      * bit-identical to the CSR the matrix was constructed from (as
-     * mutated since). Used when a sharded matrix is the secondary
-     * operand of an op that needs a monolithic view.
+     * mutated since).
      */
     fmt::CsrMatrix toCsr() const;
 
     /**
-     * Mutation API: deltas are routed to the shard that owns each
-     * row; only touched shards lock, bump their epoch, drop their
-     * encoding, and run the per-shard drift detector against
-     * @p policy. The caller schedules runPendingReencodes() when
-     * the outcome says a re-encode was crossed (the registry fires
-     * its async hook).
+     * Whole-matrix materialization in @p format (or in the primary
+     * format), built from toCsr() on first use and cached until the
+     * next mutation — the operand of ops that need one monolithic
+     * matrix, e.g. SpAdd's secondary.
      */
-    ShardMutationOutcome applyUpdates(const fmt::CooMatrix& deltas,
-                                      const DriftPolicy& policy);
-    ShardMutationOutcome replaceRows(const std::vector<Index>& rows,
-                                     const fmt::CooMatrix& replacement,
-                                     const DriftPolicy& policy);
-    ShardMutationOutcome scaleValues(Value factor);
+    EncodingPtr encodedAs(eng::Format format);
+    EncodingPtr encoded() { return encodedAs(primaryFormat()); }
+    /** The cached materialization, or null (never converts). */
+    EncodingPtr encodedAsIfCached(eng::Format format) const;
+    EncodingPtr encodedIfCached() const
+    {
+        return encodedAsIfCached(primaryFormat());
+    }
 
     /**
-     * Execute every pending per-shard re-encode: snapshot the shard
-     * master, build the target encoding outside the lock, swap it
-     * in if no mutation intervened (epoch check + retries, like the
-     * registry's whole-matrix path). Returns the number of shards
-     * swapped.
+     * Mutation API: the whole call is validated first, then deltas
+     * are routed to the cell that owns each row; only touched cells
+     * bump their epoch, drop their encoding, and run their drift
+     * gate against @p policy. The caller schedules runReencode()
+     * when the outcome says a re-encode was crossed (the registry
+     * fires its async hook); the outcome's target is the first
+     * newly scheduled shard's.
      */
-    int runPendingReencodes();
+    eng::UpdateOutcome applyUpdates(const fmt::CooMatrix& deltas,
+                                    const eng::ReselectPolicy& policy);
+    eng::UpdateOutcome replaceRows(const std::vector<Index>& rows,
+                                   const fmt::CooMatrix& replacement,
+                                   const eng::ReselectPolicy& policy);
+    eng::UpdateOutcome scaleValues(Value factor);
+
+    /** Run every shard's pending re-encode (MatrixCell::runReencode
+     *  per cell); only the bands whose drift crossed a boundary
+     *  rebuild. */
+    void runReencode();
 
   private:
     struct Shard
@@ -219,28 +212,21 @@ class ShardedMatrix
         Index rowEnd = 0;
         int node = 0;
         std::vector<int> cpus;
-        fmt::CsrMatrix master; //!< local rows [0, rowEnd-rowBegin)
-        eng::StructureTracker profile;
-        eng::Format chosen = eng::Format::kCsr;
-        eng::Format pendingTarget = eng::Format::kCsr;
-        EncodingPtr encoding; //!< null after a mutation invalidates
-        std::uint64_t epoch = 0;
-        std::size_t conversions = 0;
-        std::size_t reselects = 0;
-        bool reencodePending = false;
-        mutable std::mutex mutex;
+        std::unique_ptr<eng::MatrixCell> cell;
     };
 
-    /** Find-or-build the shard's encoding; its mutex must be held. */
-    EncodingPtr encodedLocked(Shard& sh) const;
-    /** Grab (building if needed) the shard's current encoding. */
-    EncodingPtr grabEncoding(Index shard) const;
-    /** Shared mutation tail for one shard (mutex held): epoch bump,
-     *  encoding drop, drift detection. */
-    void finishShardMutation(Index shard, Shard& sh,
-                             const eng::MutationStats& stats,
-                             const DriftPolicy& policy,
-                             ShardMutationOutcome& out);
+    eng::MatrixCell& cell(Index shard) const
+    {
+        return *shards_[static_cast<std::size_t>(shard)].cell;
+    }
+    /** @p coo's entries per row band, rebased to band-local rows
+     *  (@p coo must be canonical). */
+    std::vector<fmt::CooMatrix>
+    splitByBand(const fmt::CooMatrix& coo) const;
+    /** Shared mutation tail: invalidate the materializations when
+     *  anything changed, and settle the outcome's target; mutex_
+     *  must be held. */
+    eng::UpdateOutcome finish(eng::UpdateOutcome out);
     /** Run @p body for each shard index: one pool chunk per shard
      *  when @p pool is non-null, serially otherwise. */
     template <typename F>
@@ -252,7 +238,13 @@ class ShardedMatrix
     Index cols_ = 0;
     BuildOptions build_;
     std::vector<Index> cuts_; //!< K+1 row boundaries, cuts_[0] = 0
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::vector<Shard> shards_;
+    /** Serializes mutations against each other and against
+     *  materializations; guards the three members below. */
+    mutable std::mutex mutex_;
+    std::map<eng::Format, EncodingPtr> materialized_;
+    std::size_t materializations_ = 0;
+    std::uint64_t epoch_ = 0;
 };
 
 } // namespace smash::shard

@@ -245,7 +245,7 @@ TEST(Reselect, HysteresisSuppressesThrashThenMovesDecisively)
     coo.canonicalize();
 
     serve::MatrixRegistry registry;
-    serve::ReselectPolicy policy;
+    eng::ReselectPolicy policy;
     policy.margin = 0.2;
     policy.minChanged = 16;
     registry.setReselectPolicy(policy);
@@ -259,7 +259,7 @@ TEST(Reselect, HysteresisSuppressesThrashThenMovesDecisively)
     for (Index r = 0; r < 64; ++r)
         band.add(r, 8 * (r % 8) + 3, Value(0.5));
     band.canonicalize();
-    serve::UpdateOutcome out = registry.applyUpdates("drifty", band);
+    eng::UpdateOutcome out = registry.applyUpdates("drifty", band);
     EXPECT_EQ(out.stats.inserted, 64);
     EXPECT_FALSE(out.reencodeScheduled);
     EXPECT_EQ(registry.reselects("drifty"), 0u);
@@ -350,7 +350,7 @@ TEST(Reselect, DriftTriggersExactlyOneAsyncReencode)
         std::uint64_t state = 2026;
         bool scheduled = false;
         for (int round = 0; round < 12; ++round) {
-            const serve::UpdateOutcome out = session.applyUpdates(
+            const eng::UpdateOutcome out = session.applyUpdates(
                 "live", wl::genScatterDeltas(n, n, 64, state++));
             if (out.reencodeScheduled) {
                 scheduled = true;
@@ -359,7 +359,7 @@ TEST(Reselect, DriftTriggersExactlyOneAsyncReencode)
         }
         ASSERT_TRUE(scheduled) << "drift never crossed the boundary";
         for (int round = 0; round < 3; ++round) {
-            const serve::UpdateOutcome out = session.applyUpdates(
+            const eng::UpdateOutcome out = session.applyUpdates(
                 "live", wl::genScatterDeltas(n, n, 64, state++));
             EXPECT_FALSE(out.reencodeScheduled);
         }

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/numa_topology.hh"
 #include "common/thread_pool.hh"
 #include "engine/dispatch.hh"
@@ -273,9 +274,9 @@ TEST(Shard, DeltasRouteToOwningShardOnly)
         deltas.add(r, (r * 13) % 160, Value(0.5));
     deltas.canonicalize();
 
-    shard::DriftPolicy off;
+    eng::ReselectPolicy off;
     off.enabled = false;
-    const shard::ShardMutationOutcome out =
+    const eng::UpdateOutcome out =
         sm.applyUpdates(deltas, off);
     EXPECT_GT(out.stats.inserted + out.stats.updated, 0u);
     EXPECT_FALSE(out.reencodeScheduled);
@@ -397,6 +398,68 @@ TEST(Shard, RegisterShardedK1MatchesPut)
               0);
 }
 
+template <typename T>
+bool
+sameBytes(const std::vector<T>& a, const std::vector<T>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Shard, RejectedReplaceRowsChangesNothing)
+{
+    // A put() entry rejects both bad calls before it changes
+    // anything; a sharded entry must too — not after rewriting the
+    // bands it reached first.
+    const fmt::CooMatrix coo = wl::genClustered(96, 96, 600, 4, 13);
+    serve::MatrixRegistry registry;
+    registry.put("plain", coo);
+    registry.registerSharded("sharded", coo, 3);
+    const auto sm = registry.sharded("sharded");
+    ASSERT_EQ(sm->shardCount(), 3);
+    const Index r0 = sm->shardInfo(0).rowBegin;
+    // A listed row in band 0, plus an entry in band 2, which lists
+    // no row.
+    fmt::CooMatrix unlisted(96, 96);
+    unlisted.add(r0, 5, Value(1.5));
+    unlisted.add(sm->shardInfo(2).rowBegin, 7, Value(2.5));
+    // The right rows, but a taller shape with an entry below the
+    // matrix.
+    fmt::CooMatrix tall(104, 96);
+    tall.add(r0, 5, Value(1.5));
+    tall.add(99, 7, Value(2.5));
+
+    // The whole-matrix CSR, and the entry's epoch then every shard's.
+    const auto content = [&](const std::string& name) {
+        const auto s = registry.sharded(name);
+        return s ? s->toCsr()
+                 : registry.encodedAs(name, eng::Format::kCsr)
+                       ->as<fmt::CsrMatrix>();
+    };
+    const auto epochs = [&](const std::string& name) {
+        std::vector<std::uint64_t> out{registry.info(name).epoch};
+        if (const auto s = registry.sharded(name))
+            for (Index k = 0; k < s->shardCount(); ++k)
+                out.push_back(s->shardInfo(k).epoch);
+        return out;
+    };
+    for (const char* name : {"plain", "sharded"}) {
+        for (const fmt::CooMatrix* bad : {&unlisted, &tall}) {
+            const fmt::CsrMatrix before = content(name);
+            const std::vector<std::uint64_t> epochs_before = epochs(name);
+            EXPECT_THROW(registry.replaceRows(name, {r0}, *bad),
+                         FatalError)
+                << name << " accepted a " << bad->rows() << "-row call";
+            const fmt::CsrMatrix after = content(name);
+            EXPECT_TRUE(sameBytes(after.rowPtr(), before.rowPtr()) &&
+                        sameBytes(after.colInd(), before.colInd()) &&
+                        sameBytes(after.values(), before.values()))
+                << name << " content changed";
+            EXPECT_EQ(epochs(name), epochs_before) << name;
+        }
+    }
+}
+
 TEST(Shard, DivergentPerShardReselection)
 {
     // Two bands start on the same (non-DIA) format; replacing every
@@ -436,7 +499,7 @@ TEST(Shard, DivergentPerShardReselection)
             repl.add(r, r, Value(2) + Value(r % 4) * Value(0.25));
         }
         repl.canonicalize();
-        const serve::UpdateOutcome out =
+        const eng::UpdateOutcome out =
             session.replaceRows("split", rows, repl);
         ASSERT_TRUE(out.reencodeScheduled)
             << "threads " << threads;
